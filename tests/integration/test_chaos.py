@@ -1,10 +1,9 @@
 """Chaos harness end-to-end: faulted runs are invisible except in cost."""
 
-import json
-
 import pytest
 
 from repro.harness import chaos
+from tests.integration.golden import run_golden
 
 
 @pytest.mark.smoke
@@ -48,16 +47,13 @@ def test_render_reports_failures():
 
 
 @pytest.mark.smoke
-def test_chaos_cli_end_to_end(capsys, tmp_path):
-    from repro.__main__ import main
-    json_path = tmp_path / "chaos.json"
-    rc = main(["chaos", "--apps", "jacobi", "--opts", "base",
-               "--intensity", "heavy", "--seed", "3",
-               "--json", str(json_path)])
+def test_chaos_cli_end_to_end(capsys, tmp_path, monkeypatch):
+    rc, out, data = run_golden(
+        "chaos_cli", ["chaos", "--apps", "jacobi", "--opts", "base",
+                      "--intensity", "heavy", "--seed", "3"],
+        tmp_path, monkeypatch, capsys)
     assert rc == 0
-    out = capsys.readouterr().out
     assert "CHAOS OK" in out
-    data = json.loads(json_path.read_text())
     assert data["seed"] == 3
     assert data["cases"][0]["ok"] is True
     assert data["cases"][0]["intensity"] == "heavy"

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.harness import elastic
+from tests.integration.golden import run_golden
 
 
 @pytest.mark.smoke
@@ -82,29 +83,28 @@ def test_render_reports_failures():
 
 
 @pytest.mark.smoke
-def test_elastic_cli_end_to_end(capsys, tmp_path):
-    from repro.__main__ import main
-    json_path = tmp_path / "elastic.json"
-    rc = main(["elastic", "--apps", "jacobi", "--opts", "aggr",
-               "--schedules", "drain-master", "--json",
-               str(json_path)])
+def test_elastic_cli_end_to_end(capsys, tmp_path, monkeypatch):
+    rc, out, data = run_golden(
+        "elastic_cli", ["elastic", "--apps", "jacobi", "--opts", "aggr",
+                        "--schedules", "drain-master"],
+        tmp_path, monkeypatch, capsys)
     assert rc == 0
-    out = capsys.readouterr().out
     assert "ELASTIC OK" in out
-    data = json.loads(json_path.read_text())
     assert data["schema"].startswith("repro-elastic/")
     assert data["cases"] and all(c["ok"] for c in data["cases"])
     assert data["cases"][0]["realized"]
     assert data["cases"][0]["handoff_messages"] > 0
 
 
-def test_elastic_cli_with_declarative_plan(capsys, tmp_path):
+def test_elastic_cli_with_declarative_plan(capsys, tmp_path,
+                                           monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"membership": {
         "drains": [{"pid": 1, "t": 4000.0, "away_us": 2500.0}]}}))
-    from repro.__main__ import main
-    rc = main(["elastic", "--apps", "jacobi", "--opts", "aggr",
-               "--plan", str(plan_path)])
+    rc, out, data = run_golden(
+        "elastic_plan", ["elastic", "--apps", "jacobi", "--opts", "aggr",
+                         "--plan", str(plan_path)],
+        tmp_path, monkeypatch, capsys)
     assert rc == 0
-    out = capsys.readouterr().out
     assert "ELASTIC OK" in out and "plan" in out
+    assert [c["schedule"] for c in data["cases"]] == ["plan"]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness import recover
+from tests.integration.golden import run_golden
 
 
 @pytest.mark.smoke
@@ -52,38 +53,39 @@ def test_render_reports_failures():
 
 
 @pytest.mark.smoke
-def test_recover_cli_end_to_end(capsys, tmp_path):
-    from repro.__main__ import main
-    json_path = tmp_path / "recover.json"
-    rc = main(["recover", "--apps", "jacobi", "--opts", "base",
-               "--schedules", "early", "--json", str(json_path)])
+def test_recover_cli_end_to_end(capsys, tmp_path, monkeypatch):
+    rc, out, data = run_golden(
+        "recover_cli", ["recover", "--apps", "jacobi", "--opts", "base",
+                        "--schedules", "early"],
+        tmp_path, monkeypatch, capsys)
     assert rc == 0
-    out = capsys.readouterr().out
     assert "RECOVER OK" in out
-    data = json.loads(json_path.read_text())
     assert data["cases"] and all(c["ok"] for c in data["cases"])
     assert data["cases"][0]["realized"]
 
 
-def test_recover_cli_with_declarative_plan(capsys, tmp_path):
+def test_recover_cli_with_declarative_plan(capsys, tmp_path,
+                                           monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(
         {"crashes": [{"pid": 2, "t": 5000.0, "reboot_us": 2000.0}]}))
-    from repro.__main__ import main
-    rc = main(["recover", "--apps", "jacobi", "--opts", "aggr",
-               "--plan", str(plan_path)])
+    rc, out, data = run_golden(
+        "recover_plan", ["recover", "--apps", "jacobi", "--opts", "aggr",
+                         "--plan", str(plan_path)],
+        tmp_path, monkeypatch, capsys)
     assert rc == 0
-    out = capsys.readouterr().out
     assert "RECOVER OK" in out
+    assert [c["schedule"] for c in data["cases"]] == ["plan"]
 
 
-def test_chaos_cli_with_declarative_plan(capsys, tmp_path):
+def test_chaos_cli_with_declarative_plan(capsys, tmp_path, monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(
         {"seed": 11, "links": {"0->1": {"drop": 0.15}}}))
-    from repro.__main__ import main
-    rc = main(["chaos", "--apps", "jacobi", "--opts", "base",
-               "--plan", str(plan_path)])
+    rc, out, data = run_golden(
+        "chaos_plan", ["chaos", "--apps", "jacobi", "--opts", "base",
+                       "--plan", str(plan_path)],
+        tmp_path, monkeypatch, capsys)
     assert rc == 0
-    out = capsys.readouterr().out
     assert "CHAOS OK" in out and "plan" in out
+    assert [c["intensity"] for c in data["cases"]] == ["plan"]

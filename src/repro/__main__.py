@@ -21,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.harness import experiments as ex
@@ -290,170 +291,40 @@ def check_main(argv) -> int:
     return 1
 
 
-def chaos_main(argv) -> int:
-    """``python -m repro chaos``: fault-injection robustness sweep."""
-    import json
-
-    from repro.apps import all_apps
-    from repro.harness import chaos
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        parents=[_sizing_parent(), _seed_parent(), _protocol_parent(),
-                 _data_plane_parent()],
+#: What each fault-sweep subcommand adds to the shared driver: extra
+#: parent flag groups, its scenario-name flag, and its help text.
+SWEEPS = {
+    "chaos": dict(
+        parents=(_seed_parent, _protocol_parent, _data_plane_parent),
+        names=("--intensity", "fault intensities (default: all three)"),
+        plan="instead of the named intensities",
+        noun="faulted",
         description="Sweep apps x opt levels x fault intensities under "
                     "deterministic fault injection with the reliable "
                     "transport enabled.  Every faulted run must produce "
                     "results bit-identical to the fault-free run; the "
                     "table reports what the robustness cost (extra "
-                    "messages, retransmits, added simulated time).")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        choices=sorted(all_apps()),
-                        help="applications to sweep (default: all)")
-    parser.add_argument("--opts", nargs="*", default=None,
-                        help="DSM optimization levels (default: every "
-                             "level applicable to each app)")
-    parser.add_argument("--intensity", nargs="*", default=None,
-                        choices=sorted(chaos.INTENSITIES),
-                        dest="intensities",
-                        help="fault intensities (default: all three)")
-    parser.add_argument("--no-inspect", action="store_true",
-                        help="skip the protocol-inspector invariant "
-                             "checks on each faulted run")
-    parser.add_argument("--plan", default=None, metavar="FILE",
-                        help="run this declarative JSON fault plan "
-                             "instead of the named intensities")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="export the sweep results as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
-
-    plan = None
-    if args.plan:
-        from repro.faults import plan_from_json
-        plan = plan_from_json(args.plan)
-    cases = chaos.sweep(apps=args.apps, opts=args.opts,
-                        intensities=args.intensities, seed=args.seed,
-                        dataset=args.dataset, nprocs=args.nprocs,
-                        page_size=args.page_size,
-                        inspect=not args.no_inspect, plan=plan,
-                        protocol=args.protocol,
-                        data_plane=args.data_plane)
-    from repro.harness.schema import envelope
-    payload = envelope("chaos", seed=args.seed, dataset=args.dataset,
-                       nprocs=args.nprocs, page_size=args.page_size,
-                       protocol=args.protocol,
-                       cases=[c.as_dict() for c in cases])
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(chaos.render_chaos(cases))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-    return 0 if all(c.ok for c in cases) else 1
-
-
-def recover_main(argv) -> int:
-    """``python -m repro recover``: crash-recovery robustness sweep."""
-    import json
-
-    from repro.apps import all_apps
-    from repro.harness import recover
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro recover",
-        parents=[_sizing_parent(), _protocol_parent()],
+                    "messages, retransmits, added simulated time)."),
+    "recover": dict(
+        parents=(_protocol_parent,),
+        names=("--schedules", "crash schedules to mine (default: every "
+                              "schedule applicable to each app)"),
+        plan="for each app/opt pair instead of the mined schedules",
+        noun="crashed",
         description="Sweep apps x opt levels x mined crash schedules "
                     "under the crash-recovery subsystem.  Every crashed "
                     "run must produce results bit-identical to the "
                     "fault-free run with zero inspector violations and "
                     "zero sanitizer findings; the table reports what "
                     "crash tolerance cost (backup log traffic, state "
-                    "transfer, recovery time).")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        choices=sorted(all_apps()),
-                        help="applications to sweep (default: all)")
-    parser.add_argument("--opts", nargs="*", default=None,
-                        help="DSM optimization levels (default: every "
-                             "level applicable to each app)")
-    parser.add_argument("--schedules", nargs="*", default=None,
-                        choices=list(recover.SCHEDULES),
-                        help="crash schedules to mine (default: every "
-                             "schedule applicable to each app)")
-    parser.add_argument("--plan", default=None, metavar="FILE",
-                        help="run this declarative JSON fault plan for "
-                             "each app/opt pair instead of the mined "
-                             "schedules")
-    parser.add_argument("--no-inspect", action="store_true",
-                        help="skip the protocol-inspector invariant "
-                             "checks on each crashed run")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="export the sweep results as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
-
-    if args.protocol not in (None, "mw-lrc"):
-        from repro.errors import ReproError
-        raise ReproError(
-            f"recover sweeps schedule node crashes, and crash recovery "
-            f"supports only protocol='mw-lrc' (backup logging replays "
-            f"its diff protocol), not {args.protocol!r}")
-    if args.plan:
-        from repro.apps import get_app
-        from repro.faults import plan_from_json
-        from repro.harness.modes import applicable_levels
-        plan = plan_from_json(args.plan)
-        names = sorted(args.apps) if args.apps else sorted(all_apps())
-        cases = []
-        for app in names:
-            app_opts = sorted(applicable_levels(get_app(app)))
-            for opt in (args.opts if args.opts is not None
-                        else app_opts):
-                if opt not in app_opts:
-                    continue
-                cases.append(recover.run_case(
-                    app, opt, "plan", dataset=args.dataset,
-                    nprocs=args.nprocs, page_size=args.page_size,
-                    inspect=not args.no_inspect, plan=plan,
-                    protocol=args.protocol))
-    else:
-        cases = recover.sweep(apps=args.apps, opts=args.opts,
-                              schedules=args.schedules,
-                              dataset=args.dataset, nprocs=args.nprocs,
-                              page_size=args.page_size,
-                              inspect=not args.no_inspect,
-                              protocol=args.protocol)
-    from repro.harness.schema import envelope
-    payload = envelope("recover", dataset=args.dataset,
-                       nprocs=args.nprocs, page_size=args.page_size,
-                       protocol=args.protocol,
-                       cases=[c.as_dict() for c in cases])
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(recover.render_recover(cases))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-    return 0 if all(c.ok for c in cases) else 1
-
-
-def elastic_main(argv) -> int:
-    """``python -m repro elastic``: elastic-membership churn sweep."""
-    import json
-
-    from repro.apps import all_apps
-    from repro.harness import elastic
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro elastic",
-        parents=[_sizing_parent(), _protocol_parent(),
-                 _data_plane_parent()],
+                    "transfer, recovery time)."),
+    "elastic": dict(
+        parents=(_protocol_parent, _data_plane_parent),
+        names=("--schedules", "membership schedules to mine (default: "
+                              "every schedule applicable to each app)"),
+        plan="(with a 'membership' block) for each app/opt pair "
+             "instead of the mined schedules",
+        noun="elastic",
         description="Sweep apps x opt levels x mined membership "
                     "schedules (node join, graceful drain, heartbeat "
                     "suspicion/eviction) under the elastic-membership "
@@ -463,72 +334,64 @@ def elastic_main(argv) -> int:
                     "findings — including a *survived* detector false "
                     "positive; the table reports what churn cost "
                     "(handoff traffic, heartbeats, detection latency, "
-                    "added simulated time).")
+                    "added simulated time)."),
+}
+
+
+def sweep_main(kind: str, argv) -> int:
+    """``python -m repro chaos|recover|elastic``: one fault sweep."""
+    import json
+
+    from repro.apps import all_apps
+    from repro.harness import scenario
+
+    cli = SWEEPS[kind]
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro {kind}",
+        parents=[_sizing_parent()] + [p() for p in cli["parents"]],
+        description=cli["description"])
     parser.add_argument("--apps", nargs="*", default=None,
                         choices=sorted(all_apps()),
                         help="applications to sweep (default: all)")
     parser.add_argument("--opts", nargs="*", default=None,
                         help="DSM optimization levels (default: every "
                              "level applicable to each app)")
-    parser.add_argument("--schedules", nargs="*", default=None,
-                        choices=list(elastic.SCHEDULES),
-                        help="membership schedules to mine (default: "
-                             "every schedule applicable to each app)")
+    flag, names_help = cli["names"]
+    parser.add_argument(flag, nargs="*", default=None, dest="names",
+                        choices=list(scenario.PRESETS[kind].choices),
+                        help=names_help)
     parser.add_argument("--plan", default=None, metavar="FILE",
                         help="run this declarative JSON fault plan "
-                             "(with a 'membership' block) for each "
-                             "app/opt pair instead of the mined "
-                             "schedules")
+                             + cli["plan"])
     parser.add_argument("--no-inspect", action="store_true",
                         help="skip the protocol-inspector invariant "
-                             "checks on each elastic run")
+                             f"checks on each {cli['noun']} run")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="export the sweep results as JSON "
                              "('-' for stdout)")
     args = parser.parse_args(argv)
 
-    if args.protocol not in (None, "mw-lrc"):
-        from repro.errors import ReproError
-        raise ReproError(
-            f"elastic membership supports only protocol='mw-lrc' (the "
-            f"handoff re-shards its lock/diff protocol), not "
-            f"{args.protocol!r}")
+    plan = None
     if args.plan:
-        from repro.apps import get_app
         from repro.faults import plan_from_json
-        from repro.harness.modes import applicable_levels
         plan = plan_from_json(args.plan)
-        names = sorted(args.apps) if args.apps else sorted(all_apps())
-        cases = []
-        for app in names:
-            app_opts = sorted(applicable_levels(get_app(app)))
-            for opt in (args.opts if args.opts is not None
-                        else app_opts):
-                if opt not in app_opts:
-                    continue
-                cases.append(elastic.run_case(
-                    app, opt, "plan", dataset=args.dataset,
-                    nprocs=args.nprocs, page_size=args.page_size,
-                    inspect=not args.no_inspect, plan=plan,
-                    protocol=args.protocol,
-                    data_plane=args.data_plane))
-    else:
-        cases = elastic.sweep(apps=args.apps, opts=args.opts,
-                              schedules=args.schedules,
-                              dataset=args.dataset, nprocs=args.nprocs,
-                              page_size=args.page_size,
-                              inspect=not args.no_inspect,
-                              protocol=args.protocol,
-                              data_plane=args.data_plane)
+    seed = getattr(args, "seed", None)
+    cases = scenario.sweep(kind, apps=args.apps, opts=args.opts,
+                           names=args.names, plan=plan, seed=seed or 0,
+                           dataset=args.dataset, nprocs=args.nprocs,
+                           page_size=args.page_size,
+                           inspect=not args.no_inspect,
+                           protocol=args.protocol,
+                           data_plane=getattr(args, "data_plane", None))
     from repro.harness.schema import envelope
-    payload = envelope("elastic", dataset=args.dataset,
-                       nprocs=args.nprocs, page_size=args.page_size,
-                       protocol=args.protocol,
+    payload = envelope(kind, **({} if seed is None else {"seed": seed}),
+                       dataset=args.dataset, nprocs=args.nprocs,
+                       page_size=args.page_size, protocol=args.protocol,
                        cases=[c.as_dict() for c in cases])
     if args.json == "-":
         print(json.dumps(payload, indent=2))
     else:
-        print(elastic.render_elastic(cases))
+        print(scenario.render(kind, cases))
         if args.json:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
@@ -766,7 +629,7 @@ def perf_main(argv) -> int:
     if args.check:
         result = history.compare(payload,
                                  history.load_baseline(baseline_path),
-                                 tolerance=args.tolerance)
+                                 tolerance=args.tolerance, apps=args.apps)
         print(result.render())
         return 0 if result.ok else 1
     return 0
@@ -819,8 +682,9 @@ def report_main(argv) -> int:
 
 
 SUBCOMMANDS = {"trace": trace_main, "inspect": inspect_main,
-               "check": check_main, "chaos": chaos_main,
-               "recover": recover_main, "elastic": elastic_main,
+               "check": check_main,
+               **{kind: functools.partial(sweep_main, kind)
+                  for kind in SWEEPS},
                "sanitize": sanitize_main, "bench": bench_main,
                "perf": perf_main, "report": report_main}
 

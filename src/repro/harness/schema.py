@@ -1,7 +1,7 @@
 """One versioned envelope for every machine-readable payload.
 
 Every ``--json`` output of the CLI (``bench``, ``chaos``, ``recover``,
-``sanitize``, ``perf``) starts with the same two keys::
+``elastic``, ``sanitize``, ``perf``) starts with the same two keys::
 
     {"schema": "repro-<kind>/<version>", "generated_by": "repro 1.0.0", ...}
 

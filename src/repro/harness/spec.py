@@ -169,13 +169,6 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
                 f"data_plane='onesided' lowers the DSM protocol onto "
                 f"one-sided ops; mode {spec.mode!r} does not run the "
                 f"DSM")
-        if spec.faults is not None and getattr(spec.faults,
-                                               "crashes", ()):
-            raise ReproError(
-                "data_plane='onesided' does not support scheduled node "
-                "crashes (backup logging replays the two-sided diff "
-                "protocol); run crash schedules on the default data "
-                "plane")
 
     if spec.mode == "seq":
         if spec.faults is not None or spec.transport:
@@ -192,26 +185,14 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
             f"node crashes need the DSM recovery subsystem; mode "
             f"{spec.mode!r} cannot recover a crashed node (use mode "
             f"'dsm' or drop the crashes from the fault plan)")
-    if spec.faults is not None and getattr(spec.faults, "crashes", ()) \
-            and spec.protocol not in (None, "mw-lrc"):
-        raise ReproError(
-            f"crash recovery supports only protocol='mw-lrc' (backup "
-            f"logging replays its diff protocol), not "
-            f"{spec.protocol!r}; drop the crashes from the fault plan "
-            f"or switch protocols")
     if spec.faults is not None and \
-            getattr(spec.faults, "membership", None) is not None:
-        if spec.mode != "dsm":
-            raise ReproError(
-                f"membership events need the DSM membership subsystem; "
-                f"mode {spec.mode!r} cannot re-shard a drained node "
-                f"(use mode 'dsm' or drop membership from the fault "
-                f"plan)")
-        if spec.protocol not in (None, "mw-lrc"):
-            raise ReproError(
-                f"elastic membership supports only protocol='mw-lrc' "
-                f"(the handoff re-shards its lock/diff protocol), not "
-                f"{spec.protocol!r}")
+            getattr(spec.faults, "membership", None) is not None \
+            and spec.mode != "dsm":
+        raise ReproError(
+            f"membership events need the DSM membership subsystem; "
+            f"mode {spec.mode!r} cannot re-shard a drained node "
+            f"(use mode 'dsm' or drop membership from the fault "
+            f"plan)")
     if spec.mode == "dsm":
         return run_dsm(spec.resolve_program(), nprocs=spec.nprocs,
                        opt=spec.resolve_opt(), config=spec.config,

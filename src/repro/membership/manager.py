@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import MembershipError
 from repro.faults.plan import NodeOutage
 from repro.membership.plan import MembershipPlan
-from repro.recovery import elect_backup
+from repro.recovery import RequestParking, elect_backup
 from repro.tm.diffs import diff_payload_bytes
 from repro.tm.meta import interval_wire_bytes, VC_ENTRY_BYTES
 
@@ -128,8 +128,9 @@ class MembershipManager:
         self.view: List[_View] = [_View(self._join) for _ in range(n)]
         self._custody: Dict[int, _Custody] = {}
         #: Requests that raced a victim's dark window, replayed after
-        #: its handback (same pattern as RecoveryManager._deferred).
-        self._deferred: Dict[int, List[tuple]] = {}
+        #: its handback.
+        self._parking = RequestParking(
+            lambda pid: self._status.get(pid) in ("away", "rejoining"))
         inj = system.net.injector
         if inj is None:
             raise MembershipError(
@@ -227,33 +228,10 @@ class MembershipManager:
             ep.on("barrier_arrive", node._h_barrier_arrive,
                   interrupt=False)
         if node.pid in self._drain:
-            self._wrap_deferrable(node)
-
-    def _wrap_deferrable(self, node) -> None:
-        """Park protocol requests that race the victim's dark window.
-
-        Between drain realization and the handback install the victim's
-        token/tail state is in custody; a ``lock_req``/``lock_fwd``/
-        ``diff_req``/``mem.diff_req``/``mem.sync`` delivered in that
-        window (a retried frame landing right as the NIC returns) would
-        read state that is mid-handoff.  Deferred requests replay, in
-        arrival order, once the handback completes.
-        """
-        for kind in ("diff_req", "lock_req", "lock_fwd",
-                     "mem.diff_req", "mem.sync"):
-            entry = node.ep.handlers.get(kind)
-            if entry is None:
-                continue
-            handler, interrupt = entry
-
-            def wrapped(msg, handler=handler, pid=node.pid):
-                if self._status.get(pid) in ("away", "rejoining"):
-                    self._deferred.setdefault(pid, []) \
-                        .append((handler, msg))
-                else:
-                    handler(msg)
-
-            node.ep.on(kind, wrapped, interrupt=interrupt)
+            # Between drain realization and the handback install the
+            # victim's token/tail state is in custody.
+            self._parking.wrap(node, ("diff_req", "lock_req", "lock_fwd",
+                                      "mem.diff_req", "mem.sync"))
 
     def start(self) -> None:
         """Arm the per-node heartbeat timers (after nodes exist)."""
@@ -494,8 +472,7 @@ class MembershipManager:
                            dur_us=self.sys.engine.now - t0,
                            handoff_messages=self.handoff_messages,
                            handoff_bytes=self.handoff_bytes)
-        for handler, m in self._deferred.pop(victim, ()):
-            handler(m)
+        self._parking.replay(victim)
 
     def _h_handoff(self, node, msg) -> None:
         """Steward side: take custody of a drained victim's state."""
@@ -652,7 +629,7 @@ class MembershipManager:
                 f"{'active' if cust.active else 'returned'}, "
                 f"{len(cust.diffs)} diffs, "
                 f"{len(cust.claimed)} tokens claimed")
-        for pid, dfd in sorted(self._deferred.items()):
+        for pid, dfd in sorted(self._parking.queues.items()):
             if dfd:
                 out.append(f"membership P{pid}: {len(dfd)} deferred "
                            f"requests")

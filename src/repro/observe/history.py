@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.harness.schema import check_schema
@@ -105,8 +105,14 @@ class CompareResult:
 
 
 def compare(current: dict, baseline: dict,
-            tolerance: float = DEFAULT_TOLERANCE) -> CompareResult:
-    """Gate ``current`` against ``baseline`` per the policy above."""
+            tolerance: float = DEFAULT_TOLERANCE,
+            apps: Optional[Sequence[str]] = None) -> CompareResult:
+    """Gate ``current`` against ``baseline`` per the policy above.
+
+    ``apps`` restricts the gate to the selected baseline apps (a
+    ``perf --apps`` subset run); by default every baseline app must be
+    present in ``current``.
+    """
     if not 0.0 < tolerance < 1.0:
         raise ReproError(
             f"tolerance must be a fraction in (0, 1), got {tolerance}")
@@ -123,6 +129,8 @@ def compare(current: dict, baseline: dict,
     base_apps: Dict[str, dict] = baseline.get("apps", {})
     cur_apps: Dict[str, dict] = current.get("apps", {})
     for name in sorted(base_apps):
+        if apps and name not in apps:
+            continue
         base = base_apps[name]
         cur = cur_apps.get(name)
         if cur is None:

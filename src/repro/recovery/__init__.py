@@ -4,6 +4,7 @@ See ``docs/robustness.md`` for the crash model, the logging protocol,
 the log GC watermark and the manager-failover rules.
 """
 
-from repro.recovery.manager import RecoveryManager, elect_backup
+from repro.recovery.manager import (RecoveryManager, RequestParking,
+                                    elect_backup)
 
-__all__ = ["RecoveryManager", "elect_backup"]
+__all__ = ["RecoveryManager", "RequestParking", "elect_backup"]

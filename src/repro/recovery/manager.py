@@ -46,7 +46,7 @@ because after a GC round no pre-GC diff can ever be requested again.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultPlanError
 from repro.tm.diffs import diff_payload_bytes
@@ -68,6 +68,43 @@ def elect_backup(victim: int, nprocs: int) -> int:
     re-enters.
     """
     return (victim + 1) % nprocs
+
+
+class RequestParking:
+    """Park protocol requests that race a node's state rebuild.
+
+    While ``parked(pid)`` holds, the node's state is mid-reconstruction
+    (a crash rebuild, a drain handoff); a request delivered then (a
+    retried frame landing right as the node returns) would read it.
+    :meth:`wrap` defers such requests per pid; :meth:`replay` serves
+    them, in arrival order, once the rebuild completes.
+    """
+
+    def __init__(self, parked: Callable[[int], bool]) -> None:
+        self.parked = parked
+        #: pid -> (handler, message) in arrival order.
+        self.queues: Dict[int, List[tuple]] = {}
+
+    def wrap(self, node, kinds: Sequence[str]) -> None:
+        """Route ``node``'s handlers for ``kinds`` through the park."""
+        for kind in kinds:
+            entry = node.ep.handlers.get(kind)
+            if entry is None:
+                continue
+            handler, interrupt = entry
+
+            def wrapped(msg, handler=handler, pid=node.pid):
+                if self.parked(pid):
+                    self.queues.setdefault(pid, []).append((handler, msg))
+                else:
+                    handler(msg)
+
+            node.ep.on(kind, wrapped, interrupt=interrupt)
+
+    def replay(self, pid: int) -> None:
+        """Serve ``pid``'s parked requests in arrival order."""
+        for handler, msg in self.queues.pop(pid, ()):
+            handler(msg)
 
 
 class _BackupLog:
@@ -131,9 +168,10 @@ class RecoveryManager:
         self._trimmed: Dict[int, int] = {}
         #: victim -> survivors whose rec.state is still outstanding.
         self._awaiting: Dict[int, List[int]] = {}
-        #: victim -> protocol requests that arrived while it was
-        #: rebuilding (served after the rebuild, in arrival order).
-        self._deferred: Dict[int, List[tuple]] = {}
+        #: Protocol requests that arrive while a victim is rebuilding
+        #: (served after the rebuild, in arrival order).
+        self._parking = RequestParking(
+            lambda pid: self._status.get(pid) == "recovering")
         #: pid -> applied triples already shipped to its backup (the
         #: sender's own bookkeeping, so each log entry carries a delta).
         self._applied_sent: Dict[int, Set[Tuple[int, int, int]]] = {}
@@ -156,32 +194,10 @@ class RecoveryManager:
         node.ep.on("rec.fetch",
                    lambda msg, node=node: self._h_fetch(node, msg))
         if node.pid in self._crash:
-            self._wrap_deferrable(node)
-
-    def _wrap_deferrable(self, node) -> None:
-        """Park protocol requests that race the victim's rebuild.
-
-        Between the wipe and the end of ``_rebuild`` the victim's diff
-        store, routing chains and lock state are mid-reconstruction; a
-        ``diff_req``/``lock_req``/``lock_fwd`` delivered in that window
-        (a survivor's retransmission landing right after the reboot)
-        would read wiped state.  They are deferred and served, in
-        arrival order, once the rebuild completes.
-        """
-        for kind in ("diff_req", "lock_req", "lock_fwd"):
-            entry = node.ep.handlers.get(kind)
-            if entry is None:
-                continue
-            handler, interrupt = entry
-
-            def wrapped(msg, handler=handler, pid=node.pid):
-                if self._status.get(pid) == "recovering":
-                    self._deferred.setdefault(pid, []) \
-                        .append((handler, msg))
-                else:
-                    handler(msg)
-
-            node.ep.on(kind, wrapped, interrupt=interrupt)
+            # Between the wipe and the end of ``_rebuild`` the victim's
+            # diff store, routing chains and lock state are being
+            # reconstructed.
+            self._parking.wrap(node, ("diff_req", "lock_req", "lock_fwd"))
 
     def eager_pid(self, pid: int) -> bool:
         """Should ``pid`` diff eagerly and log its intervals?"""
@@ -365,8 +381,7 @@ class RecoveryManager:
         del self._awaiting[pid]
         self._rebuild(node, reports)
         self._status[pid] = "done"
-        for handler, msg in self._deferred.pop(pid, ()):
-            handler(msg)
+        self._parking.replay(pid)
         self.t_recovery += self.sys.engine.now - t0
         if node.tel is not None:
             # Cumulative cost counters ride along so a harness that only

@@ -40,12 +40,14 @@ def sanitize_run(app, opt="aggr+cons", dataset: str = "tiny",
                  nprocs: int = 4, page_size: int = 1024,
                  online: bool = True, config=None,
                  protocol: Optional[str] = None,
-                 data_plane: Optional[str] = None) -> Tuple[object, object]:
+                 data_plane: Optional[str] = None,
+                 faults=None) -> Tuple[object, object]:
     """Run ``app`` on the DSM and sanitize it; returns (outcome, report).
 
     ``online=True`` subscribes the sanitizer to the live bus (events
     checked as they happen); ``False`` feeds the recorded stream after
-    the run.  Both see the identical append-ordered stream.
+    the run.  Both see the identical append-ordered stream.  ``faults``
+    is an optional :class:`repro.faults.FaultPlan` for the run.
     """
     from repro.harness.spec import RunSpec, run
     from repro.sanitizer import Sanitizer
@@ -59,7 +61,8 @@ def sanitize_run(app, opt="aggr+cons", dataset: str = "tiny",
     out = run(RunSpec(app=name, mode="dsm", dataset=dataset,
                       nprocs=nprocs, page_size=page_size,
                       opt=opt_cfg, config=config, telemetry=tel,
-                      protocol=protocol, data_plane=data_plane))
+                      protocol=protocol, data_plane=data_plane,
+                      faults=faults))
     if not online:
         for ev in tel.bus.events:
             san.feed(ev)

@@ -47,6 +47,7 @@ class MwLrcBackend(CoherenceBackend):
     """TreadMarks' multiple-writer LRC data movement."""
 
     name = "mw-lrc"
+    adopts_departed = True
 
     def __init__(self, node) -> None:
         super().__init__(node)

@@ -51,9 +51,32 @@ class CoherenceBackend:
 
     #: Registry key (``mw-lrc``, ``hlrc``, ...).
     name: str = "?"
+    #: Can this protocol take over a departed node's diffs and locks?
+    #: Crash recovery and elastic membership both rebuild or hand off
+    #: exactly that state, so they run only on backends that can.
+    adopts_departed: bool = False
 
     def __init__(self, node) -> None:
         self.node = node
+
+    @classmethod
+    def check_faults(cls, crashes: bool = False, membership: bool = False,
+                     data_plane: Optional[str] = None) -> None:
+        """Raise ``ReproError`` unless this backend, on ``data_plane``,
+        survives node crashes / membership changes when scheduled."""
+        if crashes and data_plane == "onesided":
+            raise ReproError(
+                "data_plane='onesided' does not support scheduled node "
+                "crashes (backup logging replays the two-sided diff "
+                "protocol); run crash schedules on the default data "
+                "plane")
+        if (crashes or membership) and not cls.adopts_departed:
+            able = [n for n, b in BACKENDS.items() if b.adopts_departed]
+            what = "crash recovery" if crashes else "elastic membership"
+            raise ReproError(
+                f"{what} supports only protocol="
+                f"{' or '.join(repr(n) for n in able)} (it takes over a "
+                f"departed node's diffs and locks), not {cls.name!r}")
 
     def attach(self) -> None:
         """Register this protocol's message handlers on ``node.ep``."""

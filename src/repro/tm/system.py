@@ -68,6 +68,11 @@ class TmSystem:
         #: None means the default, the paper's mw-lrc).
         self.backend_cls = get_backend(protocol)
         self.protocol = self.backend_cls.name
+        crashes = bool(getattr(faults, "crashes", ()))
+        membership = getattr(faults, "membership", None) is not None
+        self.backend_cls.check_faults(crashes=crashes,
+                                      membership=membership,
+                                      data_plane=data_plane)
         #: Interval-record count at which the barrier master triggers a
         #: garbage-collection round (None: never — fine for short runs).
         self.gc_threshold = gc_threshold
@@ -104,12 +109,6 @@ class TmSystem:
         if data_plane in (None, "twosided"):
             self.data_plane = None
         elif data_plane == "onesided":
-            if faults is not None and getattr(faults, "crashes", ()):
-                raise ReproError(
-                    "data_plane='onesided' does not support scheduled "
-                    "node crashes (backup logging replays the "
-                    "two-sided diff protocol); run crash schedules on "
-                    "the default data plane")
             from repro.net.onesided import OneSidedPlane
             self.net.onesided = OneSidedPlane(self.net)
             self.data_plane = "onesided"
@@ -120,12 +119,7 @@ class TmSystem:
         #: Optional :class:`repro.recovery.RecoveryManager`; built when
         #: the fault plan schedules node crashes.  Must exist before the
         #: nodes: each :class:`TmNode` captures it at construction.
-        if faults is not None and getattr(faults, "crashes", ()):
-            if self.protocol != "mw-lrc":
-                raise ReproError(
-                    "crash recovery supports only protocol='mw-lrc' "
-                    f"(backup logging replays its diff protocol), not "
-                    f"{self.protocol!r}")
+        if crashes:
             from repro.recovery import RecoveryManager
             self.recovery = RecoveryManager(
                 self, faults.crashes, log_limit=recovery_log_limit)
@@ -134,13 +128,7 @@ class TmSystem:
         #: Optional :class:`repro.membership.MembershipManager`; built
         #: when the fault plan schedules membership events.  Must exist
         #: before the nodes (each captures it at construction).
-        if faults is not None and \
-                getattr(faults, "membership", None) is not None:
-            if self.protocol != "mw-lrc":
-                raise ReproError(
-                    "elastic membership supports only protocol="
-                    f"'mw-lrc' (the handoff re-shards its lock/diff "
-                    f"protocol), not {self.protocol!r}")
+        if membership:
             from repro.membership import MembershipManager
             self.membership = MembershipManager(self, faults.membership)
         else:

@@ -1,49 +1,37 @@
-"""Chaos harness end-to-end: faulted runs are invisible except in cost."""
+"""Chaos preset end-to-end: faulted runs are invisible except in cost."""
 
 import pytest
 
-from repro.harness import chaos
+from repro.harness.scenario import run_case
 from tests.integration.golden import run_golden
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("app,opt", [("jacobi", "base"), ("is", "aggr")])
 def test_heavy_chaos_case_is_bit_identical(app, opt):
-    case = chaos.run_case(app, opt, "heavy", seed=1)
+    case = run_case("chaos", app, opt, "heavy", seed=1)
+    costs = case.costs
     assert case.ok, case.as_dict()
     assert case.identical
     assert case.violations == []
-    assert case.faults_injected > 0          # the plan actually fired
-    assert case.acks > 0
+    assert costs["faults_injected"] > 0      # the plan actually fired
+    assert costs["acks"] > 0
     assert case.added_time > 0
     if app == "jacobi":
         # Barrier-only app: the protocol sends exactly the same data
         # messages, so the entire overhead is retransmits + acks.  (A
         # lock-based app like 'is' may legally reshape its lock-forward
         # chains under fault-induced timing shifts.)
-        assert case.extra_messages == case.retransmits + case.acks
+        assert costs["extra_messages"] == \
+            costs["retransmits"] + costs["acks"]
 
 
 def test_case_seed_reproducibility():
-    a = chaos.run_case("jacobi", "aggr", "moderate", seed=9,
-                       inspect=False)
-    b = chaos.run_case("jacobi", "aggr", "moderate", seed=9,
-                       inspect=False)
+    a = run_case("chaos", "jacobi", "aggr", "moderate", seed=9,
+                 inspect=False)
+    b = run_case("chaos", "jacobi", "aggr", "moderate", seed=9,
+                 inspect=False)
     assert a.as_dict() == b.as_dict()
-
-
-def test_sweep_filters_inapplicable_levels():
-    # 'push' does not apply to is; asking for it yields no is cases.
-    cases = chaos.sweep(apps=["is"], opts=["push"],
-                        intensities=["light"], inspect=False)
-    assert cases == []
-
-
-def test_render_reports_failures():
-    case = chaos.ChaosCase(app="x", opt="base", intensity="light",
-                           seed=0, identical=False)
-    text = chaos.render_chaos([case])
-    assert "DIVERGED" in text and "CHAOS FAIL" in text
 
 
 @pytest.mark.smoke

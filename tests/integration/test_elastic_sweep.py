@@ -1,11 +1,11 @@
-"""Elastic harness end-to-end: membership churn is invisible except in
+"""Elastic preset end-to-end: membership churn is invisible except in
 cost — and the failure detector's false positives are survivable."""
 
 import json
 
 import pytest
 
-from repro.harness import elastic
+from repro.harness.scenario import PRESETS, run_case
 from tests.integration.golden import run_golden
 
 
@@ -17,15 +17,15 @@ from tests.integration.golden import run_golden
     ("shallow", "merge", "drain-mid"),    # merge-level sync traffic
 ])
 def test_membership_change_is_bit_identical(app, opt, schedule):
-    case = elastic.run_case(app, opt, schedule)
+    case = run_case("elastic", app, opt, schedule)
     assert case.ok, case.as_dict()
     assert case.identical
     assert case.realized                # the event actually fired
     assert case.violations == []        # inspector reconciles exactly
     assert case.findings == []          # sanitizer stays clean
     if schedule.startswith("drain"):
-        assert case.handoff_messages > 0
-        assert case.handoff_bytes > 0
+        assert case.costs["handoff_messages"] > 0
+        assert case.costs["handoff_bytes"] > 0
 
 
 @pytest.mark.smoke
@@ -33,23 +33,24 @@ def test_false_positive_suspicion_is_survived():
     """A silence between the suspicion and eviction thresholds: the
     detector wrongly suspects a live node, re-admits it on the next
     beat, and the answer is still bit-identical."""
-    case = elastic.run_case("jacobi", "aggr", "suspect-then-recover")
+    case = run_case("elastic", "jacobi", "aggr", "suspect-then-recover")
+    costs = case.costs
     assert case.ok, case.as_dict()
     assert "suspected" in case.observed
     assert "admitted" in case.observed
     assert "evicted" not in case.observed
-    assert case.suspicions >= 1 and case.admissions >= 1
-    assert case.detect_us > 0           # detection latency was measured
+    assert costs["suspicions"] >= 1 and costs["admissions"] >= 1
+    assert costs["detect_us"] > 0       # detection latency was measured
 
 
 def test_eviction_is_survived_too():
     """A long silence crosses the eviction threshold: the node is
     declared evicted, keeps computing, and is re-admitted when its
     NIC returns — results still bit-identical."""
-    case = elastic.run_case("jacobi", "aggr", "evict-at-barrier")
+    case = run_case("elastic", "jacobi", "aggr", "evict-at-barrier")
     assert case.ok, case.as_dict()
     assert {"suspected", "evicted", "admitted"} <= case.observed
-    assert case.evictions >= 1
+    assert case.costs["evictions"] >= 1
 
 
 def test_schedule_mining_produces_all_families():
@@ -57,29 +58,11 @@ def test_schedule_mining_produces_all_families():
     base = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
                        nprocs=4, opt="aggr", page_size=1024),
                telemetry=True)
-    names = [s.name for s in elastic.mine_schedules(base, 4)]
-    assert names == list(elastic.SCHEDULES)
-    hb = elastic.mine_schedules(base, 4)[0].plan.heartbeat
+    elastic = PRESETS["elastic"]
+    scenarios = elastic.scenarios(base, 4, None, 0)
+    assert [s.name for s in scenarios] == list(elastic.choices)
+    hb = scenarios[0].plan.membership.heartbeat
     assert hb.suspect_after_us < hb.evict_after_us
-
-
-def test_sweep_reduced_matrix():
-    cases = elastic.sweep(apps=["jacobi"], opts=["aggr"],
-                          schedules=["drain-mid", "join-early"],
-                          inspect=False)
-    assert len(cases) == 2
-    assert all(c.identical for c in cases), \
-        [c.as_dict() for c in cases]
-
-
-def test_render_reports_failures():
-    case = elastic.ElasticCase(app="x", opt="base",
-                               schedule="drain-mid", identical=False)
-    text = elastic.render_elastic([case])
-    assert "DIVERGED" in text and "ELASTIC FAIL" in text
-    good = elastic.ElasticCase(app="x", opt="base", schedule="ok",
-                               identical=True, realized=True)
-    assert "ELASTIC OK" in elastic.render_elastic([good])
 
 
 @pytest.mark.smoke

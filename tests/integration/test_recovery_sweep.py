@@ -1,10 +1,10 @@
-"""Recovery harness end-to-end: crashes are invisible except in cost."""
+"""Recover preset end-to-end: crashes are invisible except in cost."""
 
 import json
 
 import pytest
 
-from repro.harness import recover
+from repro.harness.scenario import PRESETS, run_case
 from tests.integration.golden import run_golden
 
 
@@ -16,40 +16,26 @@ from tests.integration.golden import run_golden
     ("shallow", "merge", "barrier"),     # crash during a barrier wait
 ])
 def test_crash_case_is_bit_identical(app, opt, schedule):
-    case = recover.run_case(app, opt, schedule)
+    case = run_case("recover", app, opt, schedule)
     assert case.ok, case.as_dict()
     assert case.identical
     assert case.realized            # the crash actually fired
     assert case.violations == []    # inspector reconciles exactly
     assert case.findings == []      # sanitizer stays clean
-    assert case.log_bytes > 0       # the victim logged to its backup
-    assert case.state_bytes > 0     # survivors shipped state back
+    assert case.costs["log_bytes"] > 0    # the victim logged to its backup
+    assert case.costs["state_bytes"] > 0  # survivors shipped state back
 
 
 def test_schedule_mining_covers_lock_apps_only():
     from repro.harness.spec import RunSpec, run
     base = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
                        nprocs=4, opt="base"), telemetry=True)
-    names = [s.name for s in recover.mine_schedules(base, 4)]
+    names = [s.name
+             for s in PRESETS["recover"].scenarios(base, 4, None, 0)]
     assert "lock" not in names      # barrier-only app
     assert {"early", "mid", "manager"} <= set(names)
     with pytest.raises(Exception):
-        recover.run_case("jacobi", "base", "lock", base=base)
-
-
-def test_sweep_reduced_matrix():
-    cases = recover.sweep(apps=["is"], opts=["aggr"],
-                          schedules=["manager", "lock"], inspect=False)
-    assert len(cases) == 2
-    assert all(c.identical for c in cases), \
-        [c.as_dict() for c in cases]
-
-
-def test_render_reports_failures():
-    case = recover.RecoverCase(app="x", opt="base", schedule="early",
-                               identical=False)
-    text = recover.render_recover([case])
-    assert "DIVERGED" in text and "RECOVER FAIL" in text
+        run_case("recover", "jacobi", "base", "lock", base=base)
 
 
 @pytest.mark.smoke

@@ -124,12 +124,14 @@ def test_cli_sanitize_and_bench(tmp_path, capsys):
 def test_cli_sanitize_detects_mutation(capsys):
     """The CI smoke case: one mutated hint makes the CLI exit non-zero."""
     from repro.__main__ import sanitize_main
-    from repro.compiler.transform import hint_mutation
-    from repro.sanitizer.replay import _resolve
+    from repro.apps import get_app
+    from repro.compiler.transform import hint_mutation, transform
+    from repro.harness.modes import OPT_LEVELS
 
     corpus = matrix.build_corpus(apps=["jacobi"])
     entry = next(e for e in corpus if e.op == "shrink")
-    _, _, prog, _ = _resolve(entry.app, entry.opt, "tiny", 4, 1024)
+    prog = transform(get_app(entry.app).program("tiny", 4),
+                     OPT_LEVELS[entry.opt])
     shapes = {a.name: a.shape for a in prog.arrays}
 
     def fn(site, stmt):

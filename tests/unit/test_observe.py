@@ -233,6 +233,18 @@ class TestPerfGate:
         res = compare(cur, perf_payload())
         assert not res.ok
 
+    def test_app_subset_gates_only_selected_apps(self):
+        # ``perf --check --apps jacobi`` against a two-app baseline: the
+        # app left out is not a regression, the selected one is gated.
+        base = perf_payload()
+        base["apps"]["is"] = dict(base["apps"]["jacobi"])
+        res = compare(perf_payload(), base, apps=["jacobi"])
+        assert res.ok, res.regressions
+        assert res.checked == 1
+        res = compare(perf_payload(events=501), base, apps=["jacobi"])
+        assert not res.ok
+        assert not compare(perf_payload(), base).ok
+
     def test_tolerance_must_be_a_fraction(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ReproError):

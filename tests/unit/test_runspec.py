@@ -6,9 +6,8 @@ import pytest
 import repro
 from repro.apps import get_app
 from repro.errors import ReproError
-from repro.harness import (DsmOutcome, DsmResult, MpOutcome, MpResult,
-                           RunOutcome, RunSpec, SeqOutcome, SeqResult,
-                           XhpfOutcome, XhpfResult, run, run_dsm, run_mp,
+from repro.harness import (DsmOutcome, MpOutcome, RunOutcome, RunSpec,
+                           SeqOutcome, XhpfOutcome, run, run_dsm, run_mp,
                            run_seq, run_xhpf)
 from repro.harness.modes import OPT_LEVELS
 
@@ -102,14 +101,6 @@ class TestRunSpecApi:
 
 
 class TestOutcomeProtocol:
-    def test_legacy_aliases_are_the_same_types(self):
-        assert SeqResult is SeqOutcome
-        assert DsmResult is DsmOutcome
-        assert MpResult is MpOutcome
-        assert XhpfResult is XhpfOutcome
-        from repro.compiler.hpf import XhpfResult as HpfAlias
-        assert HpfAlias is XhpfOutcome
-
     def test_all_modes_share_protocol(self):
         outs = [run("jacobi", mode=m, dataset="tiny", nprocs=2,
                     page_size=1024)
@@ -121,6 +112,8 @@ class TestOutcomeProtocol:
             assert out.messages >= 0 and out.data_bytes >= 0
             assert out.telemetry is None
         assert [o.mode for o in outs] == ["seq", "dsm", "xhpf", "mp"]
+        assert [type(o) for o in outs] == [SeqOutcome, DsmOutcome,
+                                           XhpfOutcome, MpOutcome]
 
     def test_seq_has_no_network_traffic(self):
         out = run("jacobi", mode="seq")

@@ -150,7 +150,7 @@ class NodeCrash:
     ``t``, so ``t`` is a lower bound on the wipe time.  Sync entries
     are the points where every previously validated region has fully
     run its kernels, which keeps the cut interval's overwrite
-    (WRITE_ALL) claims sound; see ``RecoveryManager.crashpoint``.
+    (WRITE_ALL) claims sound; see ``RoleHandoff.syncpoint``.
     """
 
     pid: int

@@ -1,35 +1,27 @@
 """Elastic cluster membership for the TreadMarks-style DSM.
 
 The :class:`MembershipManager` lets the processor set change while a
-computation runs, generalizing :mod:`repro.recovery`'s crash handling
-("the node lost everything") to three gentler transitions:
+computation runs.  It drives the departure lifecycle of the role-handoff
+core (:mod:`repro.recovery.handoff`) through three gentler transitions
+than a crash:
 
-**Join.**  A planned late joiner sleeps (NIC dark, no compute) until
-its join time, then announces itself (``mem.join``), collects every
-peer's retained interval records (``mem.sync`` / ``mem.records``) and
-replays them through :meth:`TmNode.apply_notices` — the same lazy
-all-pages-invalid re-entry recovery uses: pages others wrote are
-invalidated and fault back in on demand.
+**Join.**  A planned late joiner is dark until its join time, announces
+itself (``mem.join``) and re-enters from every peer (``mem.sync`` /
+``mem.records``).
 
-**Drain (graceful leave).**  At the drain time — realized, like
-crashes, only at a synchronization-operation entry with no locks held —
-the departing node flushes its open interval, materializes every diff
-of its own retained intervals, and ships one ``mem.handoff`` to its
-*steward* (the same deterministic :func:`repro.recovery.elect_backup`
-rule): all retained records, its own diffs, its explicit lock tokens,
-the routing tails of the locks it manages, and (if it holds it) the
-barrier seat with the raw arrival box.  A ``mem.leave`` broadcast then
-re-shards every peer's view: requests for the victim's locks route to
-the steward (which can *claim* a parked token out of custody, once per
-lock), diff requests for victim intervals at or below the drain
+**Drain (graceful leave).**  Realized like a crash, but only with no
+locks held: the node materializes every diff of its own retained
+intervals and ships one ``mem.handoff`` to its steward — records, its
+own diffs, its lock tokens, the routing tails of the locks it manages,
+and (if it holds it) the barrier seat with the raw arrival box.  A
+``mem.leave`` broadcast re-shards every peer's view: requests for the
+victim's locks route to the steward (which can *claim* a parked token
+out of custody, once per lock), diff requests at or below the drain
 watermark go to the steward's custody copy, and the barrier seat moves
 — permanently, so in-flight arrivals can never race a reverting seat.
-On return the victim re-syncs (``mem.rejoin``/``mem.state``): the
-steward hands back unclaimed tokens and the routing chains it
-accumulated while acting, plus its current records so the victim
-catches up on everything written while it was away.  Protocol requests
-that raced the dark window are deferred (the recovery deferral
-pattern) and replayed after the handback.
+On return the victim re-enters from its steward alone
+(``mem.rejoin`` / ``mem.state``), which hands back unclaimed tokens and
+the routing chains it accumulated while acting.
 
 **Eviction (failure detection).**  Every member beats (``hb.beat``,
 cheap unreliable datagrams, NIC-offloaded so a CPU deep in a compute
@@ -49,37 +41,13 @@ messages are delivered, and the reliable transport's retry budget
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import MembershipError
 from repro.faults.plan import NodeOutage
 from repro.membership.plan import MembershipPlan
-from repro.recovery import RequestParking, elect_backup
 from repro.tm.diffs import diff_payload_bytes
 from repro.tm.meta import interval_wire_bytes, VC_ENTRY_BYTES
-
-
-class _View:
-    """One node's local picture of the cluster (views are per-node:
-    membership changes propagate by messages, never by global state)."""
-
-    __slots__ = ("absent", "prejoin", "seat", "steward", "watermark",
-                 "evicted")
-
-    def __init__(self, prejoin) -> None:
-        #: Drained members between their mem.leave and mem.join.
-        self.absent: Set[int] = set()
-        #: Planned joiners not yet announced.
-        self.prejoin: Set[int] = set(prejoin)
-        #: Current barrier seat (moves to the steward when the seat
-        #: drains; monotonic — it never moves back).
-        self.seat: int = 0
-        #: victim -> its steward, while absent.
-        self.steward: Dict[int, int] = {}
-        #: victim -> drain watermark (its own highest interval index).
-        self.watermark: Dict[int, int] = {}
-        #: Members this node has heard an eviction verdict about.
-        self.evicted: Set[int] = set()
 
 
 class _Custody:
@@ -101,41 +69,41 @@ class _Custody:
 
 
 class MembershipManager:
-    """Joins, drains and the failure detector for one DSM run."""
+    """What drains and joins add to the role-handoff lifecycle: the
+    handoff, custody, token claims and the failure detector."""
 
-    def __init__(self, system, plan: MembershipPlan) -> None:
-        self.sys = system
+    name = "membership"
+    #: Requests parked while a drained node's state is in custody
+    #: (beyond the core's).
+    parks = ("mem.diff_req", "mem.sync")
+
+    def __init__(self, core, plan: MembershipPlan, crashes=()) -> None:
+        self.core = core
+        self.sys = system = core.sys
         self.plan = plan
         self.hb = plan.heartbeat
-        n = system.nprocs
-        self.n = n
-        crashes = getattr(getattr(system, "recovery", None), "_crash", {})
-        plan.validate_for(n, tuple(crashes.values())
-                          if hasattr(crashes, "values") else ())
-        self._join = {j.pid: j for j in plan.joins}
-        self._drain = {d.pid: d for d in plan.drains}
-        self._silence = {s.pid: s for s in plan.silences}
-        #: Drain/join lifecycle per planned pid ("pending" -> "away" ->
-        #: "rejoining" -> "member"; joiners "dormant" -> "joining" ->
-        #: "member").  Unplanned pids are implicitly "member".
-        self._status: Dict[int, str] = {}
-        for p in self._drain:
-            self._status[p] = "pending"
-        for p in self._join:
-            self._status[p] = "dormant"
-        self._steward: Dict[int, int] = {
-            p: elect_backup(p, n) for p in self._drain}
-        self.view: List[_View] = [_View(self._join) for _ in range(n)]
-        self._custody: Dict[int, _Custody] = {}
-        #: Requests that raced a victim's dark window, replayed after
-        #: its handback.
-        self._parking = RequestParking(
-            lambda pid: self._status.get(pid) in ("away", "rejoining"))
+        n = self.n = core.n
+        plan.validate_for(n, crashes)
         inj = system.net.injector
         if inj is None:
             raise MembershipError(
                 "membership needs the fault injector (pass the plan "
                 "via FaultPlan.membership so the network builds one)")
+        for d in plan.drains:
+            core.schedule(self, d)
+        # Static NIC-dark windows: a joiner is dark from t=0 until it
+        # joins, a silenced node for its silence window.  Drain windows
+        # open at realization time.
+        for j in plan.joins:
+            if j.t > 0:
+                core.schedule(self, j, "away")
+                inj.dynamic.append(NodeOutage(j.pid, 0.0, j.t))
+        for s in plan.silences:
+            inj.dynamic.append(NodeOutage(s.pid, s.t, s.t1))
+        #: Per node: planned joiners it has not heard announce yet.
+        self._prejoin: List[Set[int]] = [
+            {j.pid for j in plan.joins} for _ in range(n)]
+        self._custody: Dict[int, _Custody] = {}
         # --- failure detector ------------------------------------------
         # Beat phases are seeded from the fault plan so same-seed runs
         # replay identical heartbeat schedules.
@@ -159,42 +127,6 @@ class MembershipManager:
         self.joins_done = 0
         self.drains_done = 0
         self.detect_us: List[float] = []
-        # Static NIC-dark windows: a joiner is dark from t=0 to its
-        # join, a silenced node for its silence window.  Drain windows
-        # are appended dynamically at realization time.
-        for j in self._join.values():
-            if j.t > 0:
-                inj.dynamic.append(NodeOutage(j.pid, 0.0, j.t))
-        for s in self._silence.values():
-            inj.dynamic.append(NodeOutage(s.pid, s.t, s.t1))
-        system.engine.add_debug_source(self.debug_lines)
-
-    # ------------------------------------------------------------------
-    # Views (every query is from one node's perspective).
-    # ------------------------------------------------------------------
-
-    def seat_of(self, viewer: int) -> int:
-        """The barrier seat, as node ``viewer`` currently believes."""
-        return self.view[viewer].seat
-
-    def route_pid(self, viewer: int, target: int) -> int:
-        """Where ``viewer`` should send traffic meant for ``target``."""
-        vw = self.view[viewer]
-        if target in vw.absent:
-            return vw.steward[target]
-        return target
-
-    def acting_manager(self, viewer: int, lid: int) -> int:
-        """The node currently managing lock ``lid``, per ``viewer``."""
-        return self.route_pid(viewer, lid % self.n)
-
-    def absent_writer(self, viewer: int, w: int) \
-            -> Optional[Tuple[int, int]]:
-        """``(steward, watermark)`` if writer ``w`` is drained away."""
-        vw = self.view[viewer]
-        if w in vw.absent:
-            return vw.steward[w], vw.watermark[w]
-        return None
 
     # ------------------------------------------------------------------
     # Wiring.
@@ -206,32 +138,20 @@ class MembershipManager:
         ep.on("hb.beat",
               lambda msg, node=node: self._h_beat(node, msg),
               interrupt=False)
-        ep.on("mem.handoff",
-              lambda msg, node=node: self._h_handoff(node, msg))
-        ep.on("mem.leave",
-              lambda msg, node=node: self._h_leave(node, msg))
-        ep.on("mem.join",
-              lambda msg, node=node: self._h_join(node, msg))
-        ep.on("mem.rejoin",
-              lambda msg, node=node: self._h_rejoin(node, msg))
-        ep.on("mem.sync",
-              lambda msg, node=node: self._h_sync(node, msg))
-        ep.on("mem.diff_req",
-              lambda msg, node=node: self._h_diff_req(node, msg))
-        ep.on("mem.evict",
-              lambda msg, node=node: self._h_verdict(node, msg, True))
-        ep.on("mem.admit",
-              lambda msg, node=node: self._h_verdict(node, msg, False))
+        for kind, handler in (("mem.handoff", self._h_handoff),
+                              ("mem.leave", self._h_leave),
+                              ("mem.join", self._h_join),
+                              ("mem.rejoin", self._h_rejoin),
+                              ("mem.sync", self._h_sync),
+                              ("mem.diff_req", self._h_diff_req),
+                              ("mem.evict", self._h_evict),
+                              ("mem.admit", self._h_admit)):
+            ep.on(kind, lambda msg, node=node, h=handler: h(node, msg))
         # The barrier seat can move, so every node must be able to
         # receive (and relay) arrivals, not just the static master.
         if node.pid != node.master_pid:
             ep.on("barrier_arrive", node._h_barrier_arrive,
                   interrupt=False)
-        if node.pid in self._drain:
-            # Between drain realization and the handback install the
-            # victim's token/tail state is in custody.
-            self._parking.wrap(node, ("diff_req", "lock_req", "lock_fwd",
-                                      "mem.diff_req", "mem.sync"))
 
     def start(self) -> None:
         """Arm the per-node heartbeat timers (after nodes exist)."""
@@ -268,8 +188,7 @@ class MembershipManager:
         if p == m:
             return
         now = self.sys.engine.now
-        vw = self.view[m]
-        if dark or p in vw.prejoin or p in vw.absent:
+        if dark or p in self._prejoin[m] or p in self.core.away[m]:
             # I cannot hear anyone / the silence is expected: hold the
             # timer instead of accusing.
             self._last_heard[m][p] = now
@@ -308,45 +227,33 @@ class MembershipManager:
             if was == "evicted":
                 node.ep.broadcast("mem.admit", payload=src, size=8)
 
-    def _h_verdict(self, node, msg, evicted: bool) -> None:
+    @staticmethod
+    def _h_evict(node, msg) -> None:
         node._charge(node.cfg.request_service)
-        target = msg.payload
-        vw = self.view[node.pid]
-        if evicted:
-            vw.evicted.add(target)
-        else:
-            vw.evicted.discard(target)
-            self._last_heard[node.pid][target] = self.sys.engine.now
+
+    def _h_admit(self, node, msg) -> None:
+        node._charge(node.cfg.request_service)
+        self._last_heard[node.pid][msg.payload] = self.sys.engine.now
 
     # ------------------------------------------------------------------
     # Join (dormant start; lazy all-pages-invalid re-entry).
     # ------------------------------------------------------------------
 
-    def startup(self, node) -> None:
-        """Called in process context before ``main``: realize a join."""
-        j = self._join.get(node.pid)
-        if j is None or j.t <= 0:
-            return
-        node.proc.advance(j.t)
-        self._status[node.pid] = "joining"
+    def enter(self, node, j) -> None:
+        """Process context, before ``main``: realize join ``j``."""
+        self.core.go_dark(node, j.t)
         node.ep.broadcast("mem.join", payload=node.pid, size=8)
         peers = [q for q in range(self.n) if q != node.pid]
-        node._req_seq += 1
-        tag = node._req_seq
-        for q in peers:
-            node.ep.send(q, "mem.sync", payload=(node.pid, tag),
-                         size=8, tag=tag)
+        replies = self.core.reenter(node, peers, "mem.sync", "mem.records")
         self.handoff_messages += len(peers) + len(peers)
         t0 = self.sys.engine.now
-        for q in peers:
-            msg = node.ep.recv(kind="mem.records", src=q, tag=tag)
-            vc, recs = msg.payload
+        for _, msg in replies:
+            recs, vc, _ = msg.payload
             self.handoff_bytes += msg.size
-            # The join path IS the recovery re-entry path: replaying
-            # the union of everyone's notices invalidates exactly the
-            # pages written while this node was not yet a member.
+            # Replaying everyone's notices invalidates exactly the pages
+            # written while this node was not yet a member.
             node.apply_notices(recs, vc)
-        self._status[node.pid] = "member"
+        self.core.status[node.pid] = "done"
         self.joins_done += 1
         if node.tel is not None:
             node.tel.event(node.pid, "mem.join", t_sched=j.t,
@@ -358,46 +265,29 @@ class MembershipManager:
     def _h_sync(self, node, msg) -> None:
         """A joiner asks for my retained records."""
         node._charge(node.cfg.request_service)
-        joiner, tag = msg.payload
-        recs = tuple(node.intervals.values())
-        size = VC_ENTRY_BYTES * self.n + interval_wire_bytes(recs)
-        node.ep.send(msg.src, "mem.records",
-                     payload=(node._vc_tuple(), recs), size=size,
-                     tag=tag)
+        self.core.serve_state(node, msg, "mem.records")
 
     def _h_join(self, node, msg) -> None:
         """A member (re)announced itself: it is reachable again."""
         node._charge(node.cfg.request_service)
         joiner = msg.payload
-        vw = self.view[node.pid]
-        vw.prejoin.discard(joiner)
-        vw.absent.discard(joiner)
+        self._prejoin[node.pid].discard(joiner)
+        self.core.away[node.pid].pop(joiner, None)
         self._last_heard[node.pid][joiner] = self.sys.engine.now
 
     # ------------------------------------------------------------------
     # Drain (graceful leave with deterministic re-sharding).
     # ------------------------------------------------------------------
 
-    def syncpoint(self, node) -> None:
-        """Called at sync-operation entries (the crashpoint rule):
-        realize a due drain when the node is quiescent."""
-        if self._status.get(node.pid) != "pending":
-            return
-        d = self._drain[node.pid]
-        if self.sys.engine.now < d.t:
-            return
-        if node._atomic_depth > 0 or node._op_active:
-            return
+    def depart(self, node, d) -> None:
+        """Realize drain ``d`` (the core's syncpoint found it due)."""
         if node.lock_held or any(node.lock_pending.values()):
             return      # leave only between critical sections
-        self._realize_drain(node, d)
-
-    def _realize_drain(self, node, d) -> None:
+        core = self.core
         victim, n = node.pid, self.n
-        steward = self._steward[victim]
+        steward = core.steward[victim]
         engine = self.sys.engine
-        node._drain_async_plans()
-        node.end_interval()
+        core.quiesce(node)
         # Materialize every diff of my own retained intervals: custody
         # must be able to serve them while I am unreachable.
         own = sorted((rec for rec in node.intervals.values()
@@ -416,11 +306,11 @@ class MembershipManager:
         tokens = dict(node.lock_token)
         tails = {lid: t for lid, t in node.lock_tail.items()
                  if lid % n == victim}
-        was_seat = self.view[victim].seat == victim
+        was_seat = core.seat[victim] == victim
         box = dict(node._barrier_box) if was_seat else {}
-        self._status[victim] = "away"
+        core.status[victim] = "away"
         if was_seat:
-            self.view[victim].seat = steward
+            core.seat[victim] = steward
         size = (interval_wire_bytes(records)
                 + diff_payload_bytes(d for _, d in diffs)
                 + 16 * (len(tokens) + len(tails))
@@ -441,21 +331,15 @@ class MembershipManager:
         # Dark window: strictly after the handoff frames depart, so the
         # injector does not eat our own goodbye.
         t_dark = max(engine.now, node.proc.busy_until) + 1e-6
-        self.sys.net.injector.dynamic.append(
-            NodeOutage(victim, t_dark, t_dark + d.away_us))
-        node.proc.advance(t_dark + d.away_us - engine.now)
+        core.go_dark(node, t_dark + d.away_us, t0=t_dark)
         self._rejoin(node, steward)
 
     def _rejoin(self, node, steward: int) -> None:
         victim = node.pid
-        self._status[victim] = "rejoining"
         t0 = self.sys.engine.now
-        node._req_seq += 1
-        tag = node._req_seq
-        node.ep.send(steward, "mem.rejoin", payload=(victim, tag),
-                     size=8, tag=tag)
-        msg = node.ep.recv(kind="mem.state", src=steward, tag=tag)
-        tokens_back, tails_back, recs, svc = msg.payload
+        (_, msg), = self.core.reenter(node, [steward], "mem.rejoin",
+                                      "mem.state")
+        recs, svc, (tokens_back, tails_back) = msg.payload
         self.handoff_messages += 2
         self.handoff_bytes += msg.size + 8
         # Catch up on the world: apply everything the steward knows,
@@ -463,7 +347,7 @@ class MembershipManager:
         node.apply_notices(recs, svc)
         node.lock_token.update(tokens_back)
         node.lock_tail.update(tails_back)
-        self._status[victim] = "member"
+        self.core.status[victim] = "done"
         self.drains_done += 1
         node.ep.broadcast("mem.join", payload=victim, size=8)
         self.handoff_messages += self.n - 1
@@ -472,7 +356,7 @@ class MembershipManager:
                            dur_us=self.sys.engine.now - t0,
                            handoff_messages=self.handoff_messages,
                            handoff_bytes=self.handoff_bytes)
-        self._parking.replay(victim)
+        self.core.replay(victim)
 
     def _h_handoff(self, node, msg) -> None:
         """Steward side: take custody of a drained victim's state."""
@@ -495,12 +379,9 @@ class MembershipManager:
         # sees ordinary tm.invalidate traffic, not magic.
         node.apply_notices(records, vvc)
         node.lock_tail.update(tails)
-        vw = self.view[node.pid]
-        vw.absent.add(victim)
-        vw.steward[victim] = node.pid
-        vw.watermark[victim] = watermark
+        self.core.away[node.pid][victim] = watermark
         if was_seat:
-            vw.seat = node.pid
+            self.core.seat[node.pid] = node.pid
             for pid, entry in box.items():
                 node._barrier_box.setdefault(pid, entry)
             if len(node._barrier_box) == node.nprocs:
@@ -509,19 +390,16 @@ class MembershipManager:
     def _h_leave(self, node, msg) -> None:
         victim, steward, watermark = msg.payload
         node._charge(node.cfg.request_service)
-        vw = self.view[node.pid]
-        vw.absent.add(victim)
-        vw.steward[victim] = steward
-        vw.watermark[victim] = watermark
-        if vw.seat == victim:
-            vw.seat = steward
+        self.core.away[node.pid][victim] = watermark
+        if self.core.seat[node.pid] == victim:
+            self.core.seat[node.pid] = steward
         # A graceful goodbye is not a failure: hold the detector.
         self._last_heard[node.pid][victim] = self.sys.engine.now
 
     def _h_rejoin(self, node, msg) -> None:
         """Steward side: hand the custody state back to the victim."""
         node._charge(node.cfg.request_service)
-        victim, tag = msg.payload
+        victim = msg.src
         cust = self._custody[victim]
         cust.active = False
         tokens_back = {lid: False for lid in cust.claimed}
@@ -530,20 +408,15 @@ class MembershipManager:
                 tokens_back[lid] = val
         tails_back = {lid: t for lid, t in node.lock_tail.items()
                       if lid % self.n == victim}
-        recs = tuple(node.intervals.values())
-        size = (VC_ENTRY_BYTES * self.n + interval_wire_bytes(recs)
-                + 16 * (len(tokens_back) + len(tails_back)))
         # Mark the victim present BEFORE replying: any request this
         # steward re-forwards to it afterwards follows the mem.state
         # frame on the same FIFO channel, so it lands on installed
         # state.
-        vw = self.view[node.pid]
-        vw.absent.discard(victim)
+        self.core.away[node.pid].pop(victim, None)
         self._last_heard[node.pid][victim] = self.sys.engine.now
-        node.ep.send(msg.src, "mem.state",
-                     payload=(tokens_back, tails_back, recs,
-                              node._vc_tuple()),
-                     size=size, tag=tag)
+        self.core.serve_state(node, msg, "mem.state",
+                              (tokens_back, tails_back),
+                              16 * (len(tokens_back) + len(tails_back)))
 
     # ------------------------------------------------------------------
     # Custody services (lock tokens, diffs) while the victim is away.
@@ -559,7 +432,7 @@ class MembershipManager:
         static manager.
         """
         for victim, cust in self._custody.items():
-            if not cust.active or self._steward[victim] != node.pid:
+            if not cust.active or self.core.steward[victim] != node.pid:
                 continue
             if lid in cust.claimed:
                 continue
@@ -592,7 +465,7 @@ class MembershipManager:
         (after the GC rendezvous nothing pre-GC is ever requested)."""
         trimmed = False
         for victim, cust in self._custody.items():
-            if self._steward[victim] == pid:
+            if self.core.steward[victim] == pid:
                 cust.diffs = {}
                 trimmed = True
         plane = getattr(self.sys.net, "onesided", None)
@@ -621,18 +494,12 @@ class MembershipManager:
     def debug_lines(self) -> List[str]:
         """Membership state for the engine's deadlock dump."""
         out: List[str] = []
-        for pid in sorted(self._status):
-            out.append(f"membership P{pid}: {self._status[pid]}")
         for victim, cust in sorted(self._custody.items()):
             out.append(
-                f"custody of P{victim} at P{self._steward[victim]}: "
+                f"custody of P{victim} at P{self.core.steward[victim]}: "
                 f"{'active' if cust.active else 'returned'}, "
                 f"{len(cust.diffs)} diffs, "
                 f"{len(cust.claimed)} tokens claimed")
-        for pid, dfd in sorted(self._parking.queues.items()):
-            if dfd:
-                out.append(f"membership P{pid}: {len(dfd)} deferred "
-                           f"requests")
         bad = {p: v for p, v in self._verdict.items() if v != "member"}
         if bad:
             out.append("detector verdicts: "

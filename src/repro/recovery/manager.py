@@ -7,28 +7,29 @@ scheduled simulated time.  This module restores that state from the
 survivors, bit-identically to a fault-free run, through three
 mechanisms:
 
+A crash is the departure of the role-handoff core
+(:mod:`repro.recovery.handoff`) whose victim cannot cooperate: this
+module adds what that costs.
+
 **Lightweight logging.**  While a crash is pending for a processor, it
 diffs eagerly at every interval end and ships the interval record, its
-fresh diffs and the delta of its applied-diff watermarks to a *backup*
-processor (``rec.log`` messages) — the
-deterministically re-elected stand-in :func:`elect_backup` picks.  A
-manager that is crash-planned likewise replicates every lock-routing
-decision.  Because the reliable transport delivers in order per
+fresh diffs and the delta of its applied-diff watermarks to its
+*backup* (the core's steward).  A manager that is crash-planned
+likewise replicates every lock-routing decision.  Because the reliable transport delivers in order per
 channel, the final pre-crash log entry is always at the backup before
 the victim's post-reboot ``rec.fetch`` arrives — no separate
 synchronous-log round-trip is needed.
 
-**On-demand re-replication.**  After the reboot window the victim
-broadcasts ``rec.fetch``; every survivor answers with a ``rec.state``
-snapshot: all interval records it retains, its vector clock, its lock
+**On-demand re-replication.**  After the reboot window the victim runs
+the core's re-entry exchange (``rec.fetch`` / ``rec.state``) with every
+survivor; beyond records and clock each reports its lock
 token/tail/pending state, whether it is blocked on a lock or barrier,
 its in-flight lock traffic, and (from the backup) the victim's own
 logged records, diffs and routing decisions.  The victim re-enters with
-every page invalid, replays the union of write notices, restocks its
-own diffs and applied watermarks from the backup log, and faults the
-rest back in on demand.
+every page invalid, replays the union of write notices and restocks its
+own diffs and applied watermarks from the backup log.
 
-**Manager failover.**  Lock tokens are reconstructed from the
+**Lock and barrier rebuild.**  Lock tokens are reconstructed from the
 survivors' evidence: a token is placed wherever a survivor explicitly
 holds it or an in-flight grant is headed; otherwise it is parked at the
 victim iff the routing chain (or the static assignment) ends there.
@@ -46,7 +47,7 @@ because after a GC round no pre-GC diff can ever be requested again.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import FaultPlanError
 from repro.tm.diffs import diff_payload_bytes
@@ -55,56 +56,6 @@ from repro.tm.meta import (IntervalRecord, interval_wire_bytes,
 
 #: Wire size of one (writer, interval, page) applied-watermark entry.
 APPLIED_ENTRY_BYTES = 12
-
-
-def elect_backup(victim: int, nprocs: int) -> int:
-    """Deterministic failover rule: the next processor in pid order.
-
-    The backup holds the victim's replicated interval/route logs and,
-    while the victim is down, is the processor every node can compute
-    without communication — the same rule a real system would use to
-    re-elect the statically-assigned (pid-keyed) lock and barrier
-    managers.  Authority returns to the static manager once the victim
-    re-enters.
-    """
-    return (victim + 1) % nprocs
-
-
-class RequestParking:
-    """Park protocol requests that race a node's state rebuild.
-
-    While ``parked(pid)`` holds, the node's state is mid-reconstruction
-    (a crash rebuild, a drain handoff); a request delivered then (a
-    retried frame landing right as the node returns) would read it.
-    :meth:`wrap` defers such requests per pid; :meth:`replay` serves
-    them, in arrival order, once the rebuild completes.
-    """
-
-    def __init__(self, parked: Callable[[int], bool]) -> None:
-        self.parked = parked
-        #: pid -> (handler, message) in arrival order.
-        self.queues: Dict[int, List[tuple]] = {}
-
-    def wrap(self, node, kinds: Sequence[str]) -> None:
-        """Route ``node``'s handlers for ``kinds`` through the park."""
-        for kind in kinds:
-            entry = node.ep.handlers.get(kind)
-            if entry is None:
-                continue
-            handler, interrupt = entry
-
-            def wrapped(msg, handler=handler, pid=node.pid):
-                if self.parked(pid):
-                    self.queues.setdefault(pid, []).append((handler, msg))
-                else:
-                    handler(msg)
-
-            node.ep.on(kind, wrapped, interrupt=interrupt)
-
-    def replay(self, pid: int) -> None:
-        """Serve ``pid``'s parked requests in arrival order."""
-        for handler, msg in self.queues.pop(pid, ()):
-            handler(msg)
 
 
 class _BackupLog:
@@ -127,37 +78,34 @@ class _BackupLog:
         #: Lowest interval index still retained (GC watermark).
         self.trimmed_below: int = 0
 
-    def wire_bytes(self) -> int:
-        return (interval_wire_bytes(self.records.values())
-                + diff_payload_bytes(self.diffs.values()))
-
 
 class RecoveryManager:
-    """Crash scheduling, logging and state reconstruction for one run."""
+    """What a crash adds to the role-handoff lifecycle: the backup log,
+    the wipe and the survivor-evidence rebuild."""
 
-    def __init__(self, system, crashes, log_limit: Optional[int] = None) \
+    name = "recovery"
+    #: Requests parked while a victim rebuilds (beyond the core's).
+    parks = ()
+
+    def __init__(self, core, crashes, log_limit: Optional[int] = None) \
             -> None:
-        self.sys = system
-        nprocs = system.nprocs
+        self.core = core
+        self.sys = core.sys
+        nprocs = core.n
         if nprocs < 2:
             raise FaultPlanError(
                 "NodeCrash recovery needs at least 2 processors "
                 "(a lone processor has no survivors to recover from)")
-        self._crash = {}
         for c in crashes:
             if not 0 <= c.pid < nprocs:
                 raise FaultPlanError(
                     f"NodeCrash pid {c.pid} out of range for "
                     f"nprocs={nprocs}")
-            self._crash[c.pid] = c
-        #: "pending" -> "recovering" -> "done" per crash-planned pid.
-        self._status: Dict[int, str] = {p: "pending" for p in self._crash}
-        self._backup: Dict[int, int] = {
-            p: elect_backup(p, nprocs) for p in self._crash}
+            core.schedule(self, c)
         #: victim -> replicated log (written only by the backup's
         #: ``rec.log`` handler; reading it anywhere else would cheat).
         self._logs: Dict[int, _BackupLog] = {
-            p: _BackupLog() for p in self._crash}
+            c.pid: _BackupLog() for c in crashes}
         #: manager pid -> lid -> ordered routing chain (live copy every
         #: manager keeps of its own decisions; costs nothing on the
         #: wire, mirrors state a real manager has in memory anyway).
@@ -166,12 +114,6 @@ class RecoveryManager:
         #: Watermark actually used during a victim's rebuild, if the
         #: backup log had been trimmed (for diff-miss diagnostics).
         self._trimmed: Dict[int, int] = {}
-        #: victim -> survivors whose rec.state is still outstanding.
-        self._awaiting: Dict[int, List[int]] = {}
-        #: Protocol requests that arrive while a victim is rebuilding
-        #: (served after the rebuild, in arrival order).
-        self._parking = RequestParking(
-            lambda pid: self._status.get(pid) == "recovering")
         #: pid -> applied triples already shipped to its backup (the
         #: sender's own bookkeeping, so each log entry carries a delta).
         self._applied_sent: Dict[int, Set[Tuple[int, int, int]]] = {}
@@ -181,7 +123,6 @@ class RecoveryManager:
         self.state_bytes = 0
         self.t_recovery = 0.0
         self.realized: Dict[int, float] = {}   # victim -> wipe time
-        system.engine.add_debug_source(self.debug_lines)
 
     # ------------------------------------------------------------------
     # Wiring.
@@ -193,15 +134,10 @@ class RecoveryManager:
                    lambda msg, node=node: self._h_log(node, msg))
         node.ep.on("rec.fetch",
                    lambda msg, node=node: self._h_fetch(node, msg))
-        if node.pid in self._crash:
-            # Between the wipe and the end of ``_rebuild`` the victim's
-            # diff store, routing chains and lock state are being
-            # reconstructed.
-            self._parking.wrap(node, ("diff_req", "lock_req", "lock_fwd"))
 
     def eager_pid(self, pid: int) -> bool:
         """Should ``pid`` diff eagerly and log its intervals?"""
-        return self._status.get(pid) in ("pending", "recovering")
+        return pid in self._logs and self.core.status[pid] != "done"
 
     # ------------------------------------------------------------------
     # Logging (victim side, pre-crash).
@@ -231,13 +167,9 @@ class RecoveryManager:
         seen = self._applied_sent.setdefault(node.pid, set())
         delta = tuple(sorted(node.applied - seen))
         seen.update(delta)
-        size = (interval_wire_bytes([rec]) + diff_payload_bytes(diffs)
-                + APPLIED_ENTRY_BYTES * len(delta) + 8)
-        node.ep.send(self._backup[node.pid], "rec.log",
-                     payload=("interval", node.pid, rec, diffs, delta),
-                     size=size)
-        self.log_messages += 1
-        self.log_bytes += size
+        self._ship(node, ("interval", node.pid, rec, diffs, delta),
+                   interval_wire_bytes([rec]) + diff_payload_bytes(diffs)
+                   + APPLIED_ENTRY_BYTES * len(delta) + 8)
 
     def note_route(self, node, lid: int, requester: int,
                    rvc: Tuple[int, ...], sreq, tail: int) -> None:
@@ -245,15 +177,18 @@ class RecoveryManager:
         entry = (requester, rvc, sreq, tail)
         self._routes.setdefault(node.pid, {}) \
             .setdefault(lid, []).append(entry)
-        if self.eager_pid(node.pid) \
-                and self._status.get(node.pid) == "pending":
-            size = (12 + VC_ENTRY_BYTES * node.nprocs
-                    + (sreq.wire_bytes() if sreq is not None else 0))
-            node.ep.send(self._backup[node.pid], "rec.log",
-                         payload=("route", node.pid, lid, entry),
-                         size=size)
-            self.log_messages += 1
-            self.log_bytes += size
+        if node.pid in self._logs \
+                and self.core.status[node.pid] == "pending":
+            self._ship(node, ("route", node.pid, lid, entry),
+                       12 + VC_ENTRY_BYTES * node.nprocs
+                       + (sreq.wire_bytes() if sreq is not None else 0))
+
+    def _ship(self, node, entry: tuple, size: int) -> None:
+        """Send one ``rec.log`` entry to the backup."""
+        node.ep.send(self.core.steward[node.pid], "rec.log",
+                     payload=entry, size=size)
+        self.log_messages += 1
+        self.log_bytes += size
 
     def _h_log(self, node, msg) -> None:
         """Backup side: fold one log entry into the victim's log."""
@@ -281,46 +216,19 @@ class RecoveryManager:
     # Crash realization (victim's process context).
     # ------------------------------------------------------------------
 
-    def crashpoint(self, node) -> None:
-        """Called at synchronization-operation entry: realize a due crash.
-
-        Crashes realize only at lock acquire/release, barrier and push
-        entries.  At those points every previously validated region has
-        fully executed its kernels, so the crash-cut interval's
-        WRITE_ALL (overwrite) claims are sound — realizing mid-region
-        (at a validate or page-fault entry) could close an interval
-        whose overwrite pages were claimed but not yet written, and
-        their dominance would then propagate stale bytes to survivors.
-        They also never realize inside an atomic protocol section or a
-        nested protocol operation.
-        """
-        if self._status.get(node.pid) != "pending":
-            return
-        c = self._crash[node.pid]
-        if self.sys.engine.now < c.t:
-            return
-        if node._atomic_depth > 0 or node._op_active:
-            return
-        self._realize(node, c)
-
-    def _realize(self, node, c) -> None:
-        self._status[node.pid] = "recovering"
-        # Outstanding asynchronous fetches/pushes complete first: their
-        # responses are addressed to pre-crash request tags and carry
-        # data the program (whose state survives as a checkpoint) has
-        # already been promised.
-        node._drain_async_plans()
-        # Close the open interval.  The eager-diff hook has already
-        # logged every earlier interval; end_interval logs this one.
-        # The tm.interval event carries crash=True so the sanitizer's
-        # partial-overwrite rule knows the interval was cut short.
-        node.end_interval(crash=True)
+    def depart(self, node, c) -> None:
+        """Realize crash ``c`` (the core's syncpoint found it due)."""
+        core = self.core
+        # Requests park from here on: the quiesce may yield, and a
+        # request served mid-crash would read state about to be wiped.
+        core.status[node.pid] = "away"
+        # The eager-diff hook has already logged every earlier
+        # interval; end_interval logs the crash-cut one.
+        core.quiesce(node, cut=True)
         # Reboot: the NIC is dark for [t, t + reboot_us) (the injector
         # drops frames in that window); the processor itself is busy
         # "rebooting" until the window ends.
-        now = self.sys.engine.now
-        if now < c.t1:
-            node.proc.advance(c.t1 - now)
+        core.go_dark(node, c.t1)
         self.realized[node.pid] = self.sys.engine.now
         if node.tel is not None:
             node.tel.event(node.pid, "rec.crash", t_sched=c.t,
@@ -367,21 +275,14 @@ class RecoveryManager:
         pid = node.pid
         t0 = self.sys.engine.now
         survivors = [q for q in range(node.nprocs) if q != pid]
-        node._req_seq += 1
-        tag = node._req_seq
-        self._awaiting[pid] = list(survivors)
-        for q in survivors:
-            node.ep.send(q, "rec.fetch", payload=(pid,), size=8, tag=tag)
         reports = {}
-        for q in survivors:
-            msg = node.ep.recv(kind="rec.state", src=q, tag=tag)
+        for q, msg in self.core.reenter(node, survivors, "rec.fetch",
+                                        "rec.state"):
             reports[q] = msg.payload
             node._charge(node.cfg.request_service)
-            self._awaiting[pid].remove(q)
-        del self._awaiting[pid]
         self._rebuild(node, reports)
-        self._status[pid] = "done"
-        self._parking.replay(pid)
+        self.core.status[pid] = "done"
+        self.core.replay(pid)
         self.t_recovery += self.sys.engine.now - t0
         if node.tel is not None:
             # Cumulative cost counters ride along so a harness that only
@@ -398,12 +299,9 @@ class RecoveryManager:
     def _h_fetch(self, node, msg) -> None:
         """Survivor side: snapshot my state for the recovering victim."""
         node._charge(node.cfg.request_service)
-        victim = msg.payload[0]
-        recs = tuple(node.intervals.values())
+        victim = msg.src
         grants, fwds = self._inflight(node, victim)
         report = {
-            "records": recs,
-            "vc": node._vc_tuple(),
             "tokens": dict(node.lock_token),
             "held": tuple(sorted(node.lock_held)),
             "tails": dict(node.lock_tail),
@@ -417,9 +315,8 @@ class RecoveryManager:
             "fwds": fwds,
             "log": None,
         }
-        size = (VC_ENTRY_BYTES * node.nprocs + interval_wire_bytes(recs)
-                + 16 * (len(report["tokens"]) + len(report["tails"])))
-        if self._backup.get(victim) == node.pid:
+        size = 16 * (len(report["tokens"]) + len(report["tails"]))
+        if self.core.steward[victim] == node.pid:
             log = self._logs[victim]
             report["log"] = (tuple(log.records.values()),
                              tuple(log.diffs.items()),
@@ -427,11 +324,11 @@ class RecoveryManager:
                               for lid, v in log.routes.items()},
                              log.trimmed_below,
                              tuple(sorted(log.applied)))
-            size += (log.wire_bytes()
+            size += (interval_wire_bytes(log.records.values())
+                     + diff_payload_bytes(log.diffs.values())
                      + APPLIED_ENTRY_BYTES * len(log.applied))
-        self.state_bytes += size
-        node.ep.send(msg.src, "rec.state", payload=report, size=size,
-                     tag=msg.tag)
+        self.state_bytes += self.core.serve_state(node, msg, "rec.state",
+                                                  report, size)
 
     @staticmethod
     def _lock_wait_of(node):
@@ -486,11 +383,12 @@ class RecoveryManager:
     # Reconstruction (victim's process context, post-transfer).
     # ------------------------------------------------------------------
 
-    def _rebuild(self, node, reports: Dict[int, dict]) -> None:
-        pid, n = node.pid, node.nprocs
+    def _rebuild(self, node, replies: Dict[int, tuple]) -> None:
+        pid = node.pid
+        reports = {q: rep for q, (_, _, rep) in replies.items()}
         all_recs: Dict[Tuple[int, int], IntervalRecord] = {}
-        for q in sorted(reports):
-            for rec in reports[q]["records"]:
+        for q in sorted(replies):
+            for rec in replies[q][0]:
                 all_recs.setdefault(rec.key, rec)
         log = next((rep["log"] for rep in reports.values()
                     if rep["log"] is not None), None)
@@ -509,8 +407,8 @@ class RecoveryManager:
         # a single invalidation — the timeline and stats stay exact.
         node.apply_notices(sorted(all_recs.values(),
                                   key=IntervalRecord.order_key))
-        for q in sorted(reports):
-            node._merge_vc(reports[q]["vc"])
+        for q in sorted(replies):
+            node._merge_vc(replies[q][1])
         # Restore the applied watermarks from the backup log: the
         # checkpointed image already holds every byte those diffs
         # wrote, and marking them applied is what stops an *older*
@@ -533,7 +431,6 @@ class RecoveryManager:
                     # whose extras are always None).
                     node._barrier_box[q] = (tuple(bw[0]), (), bw[1],
                                             None)
-
     def _rebuild_locks(self, node, reports, routes_replica) -> None:
         pid, n = node.pid, node.nprocs
         lids = set(node.lock_held) | set(routes_replica)
@@ -608,16 +505,11 @@ class RecoveryManager:
     # ------------------------------------------------------------------
 
     def on_gc_discard(self, pid: int) -> None:
-        """Barrier-time GC on ``pid``: drop the recovery logs it holds.
-
-        Safe by the GC rendezvous: every processor has validated every
-        page, so no pre-GC diff (or record) can ever be needed again —
-        including by a processor that crashes later.
-        """
+        """Barrier-time GC on ``pid``: drop the recovery logs it holds."""
         self._routes.pop(pid, None)
         self._applied_sent.pop(pid, None)
-        for victim, backup in self._backup.items():
-            if backup == pid:
+        for victim in self._logs:
+            if self.core.steward[victim] == pid:
                 self._logs[victim] = _BackupLog()
 
     def explain_missing_diff(self, writer: int,
@@ -633,25 +525,12 @@ class RecoveryManager:
         return None
 
     def debug_lines(self) -> List[str]:
-        """Recovery state for the engine's deadlock dump."""
-        out: List[str] = []
-        for pid in sorted(self._crash):
-            c = self._crash[pid]
-            parts = [f"recovery P{pid}: {self._status[pid]} "
-                     f"(crash t={c.t:g}, reboot {c.reboot_us:g}us)"]
-            if pid in self._awaiting:
-                parts.append(
-                    "awaiting rec.state from "
-                    + ",".join(f"P{q}" for q in self._awaiting[pid]))
-            log = self._logs[pid]
-            if log.records or log.trimmed_below:
-                parts.append(
-                    f"backup P{self._backup[pid]} holds "
-                    f"{len(log.records)} intervals / "
-                    f"{len(log.diffs)} diffs "
-                    f"(watermark {log.trimmed_below})")
-            out.append("; ".join(parts))
-        return out
+        """Backup-log holdings for the deadlock dump."""
+        return [f"backup P{self.core.steward[pid]} holds P{pid}'s "
+                f"{len(log.records)} intervals / {len(log.diffs)} diffs "
+                f"(watermark {log.trimmed_below})"
+                for pid, log in self._logs.items()
+                if log.records or log.trimmed_below]
 
     def summary(self) -> dict:
         """Recovery cost, for the recover harness report."""

@@ -100,13 +100,9 @@ class MwLrcBackend(CoherenceBackend):
         expected: List[tuple] = []
         for w in sorted(missing):
             entries = missing[w]
-            away = None if node.mm is None \
-                else node.mm.absent_writer(node.pid, w)
-            if away is not None:
-                steward, watermark = away
-                old = [(p, i) for (p, i) in entries if i <= watermark]
-                entries = [(p, i) for (p, i) in entries
-                           if i > watermark]
+            if node.handoff is not None:
+                steward, old, entries = node.handoff.custody_split(
+                    node.pid, w, entries)
                 if old:
                     batch = [rdma.read(("cdiff", w, i, p))
                              for (p, i) in old]
@@ -133,17 +129,14 @@ class MwLrcBackend(CoherenceBackend):
         expected: List[Tuple[int, int]] = []
         for w in sorted(missing):
             entries = missing[w]
-            away = None if node.mm is None \
-                else node.mm.absent_writer(node.pid, w)
-            if away is not None:
-                # The writer drained away: its steward serves the diffs
-                # of every interval at or below the drain watermark out
-                # of custody.  (Anything newer arrived via a stale
+            if node.handoff is not None:
+                # A drained writer's steward serves the diffs of every
+                # interval at or below the drain watermark out of
+                # custody.  (Anything newer arrived via a stale
                 # third-party view — the writer is actually back, so a
                 # direct request delivers once its NIC returns.)
-                steward, watermark = away
-                old = [(p, i) for (p, i) in entries if i <= watermark]
-                new = [(p, i) for (p, i) in entries if i > watermark]
+                steward, old, entries = node.handoff.custody_split(
+                    node.pid, w, entries)
                 if old:
                     node._req_seq += 1
                     tag = node._req_seq
@@ -151,7 +144,6 @@ class MwLrcBackend(CoherenceBackend):
                                  payload=(w, tuple(old), tag),
                                  size=8 + 12 * len(old), tag=tag)
                     expected.append((steward, tag))
-                entries = new
                 if not entries:
                     continue
             node._req_seq += 1

@@ -124,14 +124,12 @@ class TmNode:
         self.offline = False
         self._atomic_depth = 0
         self._deferred_cost = 0.0
-        #: Optional :class:`repro.recovery.RecoveryManager`; set when
-        #: the fault plan schedules NodeCrash faults.  ``None`` keeps
-        #: every hook down to a single attribute test.
-        self.rm = getattr(system, "recovery", None)
-        #: Optional :class:`repro.membership.MembershipManager`; set
-        #: when the fault plan schedules membership events.
-        self.mm = getattr(system, "membership", None)
-        #: A nested protocol operation is running (crashes must not
+        #: Optional :class:`repro.recovery.RoleHandoff`: the departure
+        #: hook, set when the fault plan schedules node crashes or
+        #: membership events.  ``None`` keeps every hook down to a
+        #: single attribute test.
+        self.handoff = getattr(system, "handoff", None)
+        #: A nested protocol operation is running (departures must not
         #: realize inside it).
         self._op_active = False
         #: The (lid, rvc, sreq) request this node is blocked on, and the
@@ -284,22 +282,20 @@ class TmNode:
     def _manager_of(self, lid: int) -> int:
         """Acting manager of ``lid``: the static home, or its steward
         while the home is drained away (elastic membership)."""
-        if self.mm is not None:
-            return self.mm.acting_manager(self.pid, lid)
+        if self.handoff is not None:
+            return self.handoff.route(self.pid, lid % self.nprocs)
         return lid % self.nprocs
 
     def _current_master(self) -> int:
         """Acting barrier master (the seat moves when it drains)."""
-        if self.mm is not None:
-            return self.mm.seat_of(self.pid)
+        if self.handoff is not None:
+            return self.handoff.seat[self.pid]
         return self.master_pid
 
     def _syncpoint(self) -> None:
-        """Scheduled crash / membership transitions realize here."""
-        if self.rm is not None:
-            self.rm.crashpoint(self)
-        if self.mm is not None:
-            self.mm.syncpoint(self)
+        """Scheduled departures (crashes, drains) realize here."""
+        if self.handoff is not None:
+            self.handoff.syncpoint(self)
 
     # ==================================================================
     # Interval management.
@@ -339,8 +335,8 @@ class TmNode:
             self._record_interval(rec)
             self.dirty.clear()
             if self.eager_diffing or self.osl is not None \
-                    or (self.rm is not None
-                        and self.rm.eager_pid(self.pid)):
+                    or (self.handoff is not None
+                        and self.handoff.eager(self.pid)):
                 # One-sided mode diffs eagerly by necessity: the NIC
                 # serves diff windows without running this CPU, so the
                 # diff must exist before any notice for it circulates.
@@ -353,8 +349,8 @@ class TmNode:
                            npages=len(rec.pages), pages=rec.pages,
                            overwrite=tuple(sorted(rec.overwrite_pages)),
                            **({"crash": True} if crash else {}))
-        if self.rm is not None:
-            self.rm.log_interval(self, rec)
+        if self.handoff is not None:
+            self.handoff.interval_closed(self, rec)
         # Release-time lowering (e.g. hlrc's synchronous diff flush to
         # the page homes).  Outside the atomic section: it may block.
         self.coherence.on_interval_end(rec)
@@ -500,8 +496,8 @@ class TmNode:
                                interval=interval)
             return full_page_diff(page, self.pid, interval,
                                   self.image.page(page))
-        if self.rm is not None:
-            why = self.rm.explain_missing_diff(self.pid, interval)
+        if self.handoff is not None:
+            why = self.handoff.explain_missing_diff(self.pid, interval)
             if why is not None:
                 raise RecoveryError(why)
         raise ProtocolError(
@@ -805,8 +801,9 @@ class TmNode:
                            "tm.lock_acquires", lid=lid)
         self._drain_async_plans()
         sreq, wsync = self._take_wsync_request()
-        if self.osl is not None and self.mm is None:
-            # CAS-spinlock fast path (no manager handler, no queues).
+        if self.osl is not None and self.handoff is None:
+            # CAS-spinlock fast path (no manager handler, no queues, so
+            # no role a departing node could hand off).
             # Piggy-backed diff donation has no granter process to run
             # on, so w_sync entries complete from locally-held diffs
             # and the rest fault in — the paper's lock-grant rule.
@@ -833,8 +830,7 @@ class TmNode:
             self.ep.send(manager, "lock_req",
                          payload=(lid, self.pid, rvc, sreq),
                          size=size)
-        if self.rm is not None:
-            self._awaiting_lock = (lid, rvc, sreq)
+        self._awaiting_lock = (lid, rvc, sreq)
         t0 = self.sys.engine.now
         msg = self.ep.recv(kind="lock_grant", tag=lid)
         self._awaiting_lock = None
@@ -857,7 +853,7 @@ class TmNode:
             self.tel.event(self.pid, "tm.lock_release", lid=lid)
         self.end_interval()
         self.lock_held.discard(lid)
-        if self.osl is not None and self.mm is None:
+        if self.osl is not None and self.handoff is None:
             self.osl.lock_release(lid)
             return
         pending = self.lock_pending.get(lid)
@@ -875,21 +871,19 @@ class TmNode:
                             sreq: Optional[SyncFetchRequest]) -> None:
         size = (8 + VC_ENTRY_BYTES * self.nprocs
                 + (sreq.wire_bytes() if sreq else 0))
-        if self.mm is not None:
-            owner = self.mm.acting_manager(self.pid, lid)
-            if owner != self.pid and lid % self.nprocs != self.pid:
-                # Stale-view request: the requester still thought we
-                # were stewarding this lock's (now returned) home.
-                self.ep.send(owner, "lock_req",
-                             payload=(lid, requester, rvc, sreq),
-                             size=size)
-                return
+        owner = self._manager_of(lid)
+        if owner != self.pid and lid % self.nprocs != self.pid:
+            # Stale-view request: the requester still thought we were
+            # stewarding this lock's (now returned) home.
+            self.ep.send(owner, "lock_req",
+                         payload=(lid, requester, rvc, sreq), size=size)
+            return
         tail = self.lock_tail.get(lid, lid % self.nprocs)
         self.lock_tail[lid] = requester
-        if self.rm is not None:
-            self.rm.note_route(self, lid, requester, rvc, sreq, tail)
-        target = tail if self.mm is None \
-            else self.mm.route_pid(self.pid, tail)
+        target = tail
+        if self.handoff is not None:
+            self.handoff.routed(self, lid, requester, rvc, sreq, tail)
+            target = self.handoff.route(self.pid, tail)
         if target == self.pid:
             self._give_or_queue(lid, requester, rvc, sreq)
         else:
@@ -904,10 +898,10 @@ class TmNode:
     def _give_or_queue(self, lid: int, requester: int,
                        rvc: Tuple[int, ...],
                        sreq: Optional[SyncFetchRequest]) -> None:
-        if self.mm is not None and not self._has_token(lid):
+        if self.handoff is not None and not self._has_token(lid):
             # The token may be parked in a drained node's custody we
             # steward; a successful claim moves it to this node.
-            self.mm.claim_token(self, lid)
+            self.handoff.claim_token(self, lid)
         if self._has_token(lid) and lid not in self.lock_held:
             self._grant_lock(lid, requester, rvc, sreq)
         else:
@@ -973,13 +967,9 @@ class TmNode:
                          payload=(self.pid, avc, tuple(recs), sreq,
                                   extra),
                          size=size)
-            if self.rm is not None:
-                self._barrier_wait = (avc, sreq)
+            self._barrier_wait = (avc, sreq)
             t0 = self.sys.engine.now
-            if self.mm is None:
-                msg = self.ep.recv(kind="barrier_depart")
-            else:
-                msg = self._await_depart_or_seat()
+            msg = self._await_depart_or_seat()
             self._barrier_wait = None
             self.stats.t_barrier_wait += self.sys.engine.now - t0
             if self.tel is not None:
@@ -1006,7 +996,7 @@ class TmNode:
         self._complete_wsync(wsync, sreq, await_donations=True)
 
     def _await_depart_or_seat(self) -> Optional[Message]:
-        """Client-side barrier wait under elastic membership.
+        """Client-side barrier wait.
 
         Normally returns the ``barrier_depart`` message.  Returns
         ``None`` when the barrier seat migrated to this node while it
@@ -1028,14 +1018,13 @@ class TmNode:
     def _h_barrier_arrive(self, msg: Message) -> None:
         pid, vc, recs, sreq, extra = msg.payload
         self._charge(self.cfg.barrier_arrival_service)
-        if self.mm is not None:
-            seat = self._current_master()
-            if seat != self.pid:
-                # The seat moved while this arrival was in flight (the
-                # sender's view was stale): relay it to the new master.
-                self.ep.send(seat, "barrier_arrive", payload=msg.payload,
-                             size=msg.size)
-                return
+        seat = self._current_master()
+        if seat != self.pid:
+            # The seat moved while this arrival was in flight (the
+            # sender's view was stale): relay it to the new master.
+            self.ep.send(seat, "barrier_arrive", payload=msg.payload,
+                         size=msg.size)
+            return
         self._barrier_box[pid] = (vc, recs, sreq, extra)
         if len(self._barrier_box) == self.nprocs:
             self.proc.wake()
@@ -1250,10 +1239,8 @@ class TmNode:
         if self.osl is not None:
             self.osl.on_gc_discard()
         self.coherence.on_gc_discard()
-        if self.rm is not None:
-            self.rm.on_gc_discard(self.pid)
-        if self.mm is not None:
-            self.mm.on_gc_discard(self.pid)
+        if self.handoff is not None:
+            self.handoff.on_gc_discard(self.pid)
 
     @staticmethod
     def _intersect_lists(writes: Sequence[Section],

@@ -116,23 +116,15 @@ class TmSystem:
             raise ReproError(
                 f"unknown data_plane {data_plane!r}; expected "
                 f"'twosided' (default) or 'onesided'")
-        #: Optional :class:`repro.recovery.RecoveryManager`; built when
-        #: the fault plan schedules node crashes.  Must exist before the
-        #: nodes: each :class:`TmNode` captures it at construction.
-        if crashes:
-            from repro.recovery import RecoveryManager
-            self.recovery = RecoveryManager(
-                self, faults.crashes, log_limit=recovery_log_limit)
-        else:
-            self.recovery = None
-        #: Optional :class:`repro.membership.MembershipManager`; built
-        #: when the fault plan schedules membership events.  Must exist
-        #: before the nodes (each captures it at construction).
-        if membership:
-            from repro.membership import MembershipManager
-            self.membership = MembershipManager(self, faults.membership)
-        else:
-            self.membership = None
+        #: Optional :class:`repro.recovery.RoleHandoff`; built when the
+        #: fault plan schedules node crashes or membership events.  Must
+        #: exist before the nodes: each :class:`TmNode` captures it.
+        self.handoff = None
+        if crashes or membership:
+            from repro.recovery import RoleHandoff
+            self.handoff = RoleHandoff(self, faults.crashes,
+                                       faults.membership,
+                                       log_limit=recovery_log_limit)
         self.nodes: List[TmNode] = []
 
     def run(self, main: Callable[[TmNode], object]) -> RunResult:
@@ -145,8 +137,8 @@ class TmSystem:
         """
 
         def wrapped(node):
-            if self.membership is not None:
-                self.membership.startup(node)
+            if self.handoff is not None:
+                self.handoff.startup(node)
             result = main(node)
             node.barrier()
             return result
@@ -160,12 +152,10 @@ class TmSystem:
         for proc in procs:
             node = TmNode(self, proc, self.net.endpoint(proc.pid))
             self.nodes.append(node)
-            if self.recovery is not None:
-                self.recovery.attach(node)
-            if self.membership is not None:
-                self.membership.attach(node)
-        if self.membership is not None:
-            self.membership.start()
+            if self.handoff is not None:
+                self.handoff.attach(node)
+        if self.handoff is not None:
+            self.handoff.start()
         self.engine.run()
         per_proc = [replace(n.stats) for n in self.nodes]
         if self.telemetry is not None:

@@ -105,8 +105,8 @@ def test_crash_at_barrier_recovers_bit_identically():
     res, system = run(4, main, [NodeCrash(pid=2, t=1500.0,
                                           reboot_us=2000.0)])
     assert res.returns == base.returns
-    assert system.recovery is not None
-    assert system.recovery.summary()["log_messages"] > 0
+    assert system.handoff.recovery is not None
+    assert system.handoff.summary()["log_messages"] > 0
 
 
 def test_crash_while_holding_lock_reparks_token():
@@ -125,7 +125,7 @@ def test_crash_while_holding_lock_reparks_token():
     res, system = run(4, main, [NodeCrash(pid=2, t=900.0,
                                           reboot_us=1500.0)])
     assert res.returns == base.returns == [16.0] * 4
-    assert system.recovery._status[2] == "done"
+    assert system.handoff.status[2] == "done"
 
 
 def test_manager_crash_failover():
@@ -155,8 +155,8 @@ def test_crash_scheduled_after_exit_never_realizes():
 
     res, system = run(4, main, [NodeCrash(pid=1, t=10_000_000.0)])
     assert res.returns == [4.0] * 4
-    assert system.recovery._status[1] == "pending"
-    assert system.recovery.realized == {}
+    assert system.handoff.status[1] == "pending"
+    assert system.handoff.recovery.realized == {}
 
 
 def test_log_watermark_trims_and_explains():
@@ -178,7 +178,7 @@ def test_log_watermark_trims_and_explains():
     except ReproError as exc:
         assert "log_limit" in str(exc)
     else:
-        log = system.recovery._logs[3]
+        log = system.handoff.recovery._logs[3]
         assert len(log.records) <= 1
         assert res.returns == _baseline(4, main).returns
 
@@ -191,7 +191,7 @@ def test_debug_lines_show_status():
 
     _, system = run(4, main, [NodeCrash(pid=1, t=200.0,
                                         reboot_us=300.0)])
-    lines = system.recovery.debug_lines()
+    lines = system.handoff.debug_lines()
     assert any("recovery P1" in ln and "done" in ln for ln in lines)
 
 
@@ -216,5 +216,5 @@ def test_applied_watermarks_restored_from_log():
     assert res.returns == base.returns
     # The victim's rebuild restored applied watermarks: its own records
     # are all marked, so none of its own diffs replayed over new bytes.
-    log = system.recovery._logs[1]
+    log = system.handoff.recovery._logs[1]
     assert log.applied or log.records == {}

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Union
 from repro.apps import get_app
 from repro.apps.base import AppSpec
 from repro.compiler.transform import OptConfig
-from repro.errors import ReproError
+from repro.errors import FaultPlanError, ReproError
 from repro.faults import FaultPlan
 from repro.harness.outcome import RunOutcome
 from repro.harness.runner import run_dsm, run_mp, run_seq, run_xhpf
@@ -179,19 +179,16 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
                 "mode 'seq' has no simulation engine: profile/monitor "
                 "do not apply")
         return run_seq(spec.resolve_program(), telemetry=tel)
-    if spec.faults is not None and getattr(spec.faults, "crashes", ()) \
-            and spec.mode != "dsm":
-        raise ReproError(
-            f"node crashes need the DSM recovery subsystem; mode "
-            f"{spec.mode!r} cannot recover a crashed node (use mode "
-            f"'dsm' or drop the crashes from the fault plan)")
-    if spec.faults is not None and \
-            getattr(spec.faults, "membership", None) is not None \
-            and spec.mode != "dsm":
-        raise ReproError(
-            f"membership events need the DSM membership subsystem; "
-            f"mode {spec.mode!r} cannot re-shard a drained node "
-            f"(use mode 'dsm' or drop membership from the fault "
+    departures = [what for what, present in (
+        ("node crashes", getattr(spec.faults, "crashes", ())),
+        ("membership events",
+         getattr(spec.faults, "membership", None) is not None))
+        if present]
+    if departures and spec.mode != "dsm":
+        raise FaultPlanError(
+            f"{' and '.join(departures)} need the DSM role-handoff "
+            f"core; mode {spec.mode!r} cannot hand a departed node's "
+            f"roles over (use mode 'dsm' or drop them from the fault "
             f"plan)")
     if spec.mode == "dsm":
         return run_dsm(spec.resolve_program(), nprocs=spec.nprocs,

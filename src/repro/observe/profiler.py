@@ -48,7 +48,11 @@ _FRAGMENTS = (
     ("Network", "net"),
     ("_deliver", "net"),
     ("Injector", "faults"),
+    # Node departures: the role-handoff core and the crash/membership
+    # managers that drive it (heartbeat timers included).
+    ("RoleHandoff", "recovery"),
     ("Recovery", "recovery"),
+    ("Membership", "recovery"),
 )
 
 

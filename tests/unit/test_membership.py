@@ -163,11 +163,15 @@ def test_runspec_rejects_membership_with_other_protocols():
         run(spec)
 
 
-def test_runspec_rejects_membership_outside_dsm():
+@pytest.mark.parametrize("mode", ["mp", "xhpf"])
+@pytest.mark.parametrize("plan, what", [(_crash_plan, "node crashes"),
+                                        (_member_plan, "membership")],
+                         ids=["crash", "membership"])
+def test_runspec_rejects_membership_outside_dsm(plan, what, mode):
     from repro.harness import RunSpec, run
-    spec = RunSpec(app="jacobi", mode="mp", dataset="tiny", nprocs=4,
-                   faults=_member_plan())
-    with pytest.raises(ReproError, match="membership"):
+    spec = RunSpec(app="jacobi", mode=mode, dataset="tiny", nprocs=4,
+                   faults=plan())
+    with pytest.raises(FaultPlanError, match=f"{what}.*mode '{mode}'"):
         run(spec)
 
 

@@ -33,6 +33,11 @@ class TestClassify:
         assert _classify("Network._deliver") == "net"
         assert _classify("Injector._fire") == "faults"
         assert _classify("RecoveryManager._probe") == "recovery"
+        assert _classify("RoleHandoff.syncpoint") == "recovery"
+        assert _classify(
+            "MembershipManager._tick.<locals>.<lambda>") == "recovery"
+        assert _classify(
+            "MembershipManager.start.<locals>.<lambda>") == "recovery"
 
     def test_lambda_inside_subsystem_classifies_to_it(self):
         assert _classify("Transport.send.<locals>.<lambda>") == "net"

@@ -384,10 +384,14 @@ def sweep_main(kind: str, argv) -> int:
                            protocol=args.protocol,
                            data_plane=getattr(args, "data_plane", None))
     from repro.harness.schema import envelope
-    payload = envelope(kind, **({} if seed is None else {"seed": seed}),
+    # Sweeps that take --data-plane record it (schema version 2).
+    plane = ({"data_plane": args.data_plane}
+             if hasattr(args, "data_plane") else {})
+    payload = envelope(kind, 2 if plane else 1,
+                       **({} if seed is None else {"seed": seed}),
                        dataset=args.dataset, nprocs=args.nprocs,
                        page_size=args.page_size, protocol=args.protocol,
-                       cases=[c.as_dict() for c in cases])
+                       **plane, cases=[c.as_dict() for c in cases])
     if args.json == "-":
         print(json.dumps(payload, indent=2))
     else:

@@ -116,17 +116,14 @@ class MembershipManager:
         #: Global detector verdict per pid ("member" / "suspected" /
         #: "evicted"), written only by the designated ring monitor.
         self._verdict: Dict[int, str] = {p: "member" for p in range(n)}
-        # --- churn cost accounting (reported by the elastic harness) ---
-        self.handoff_messages = 0
-        self.handoff_bytes = 0
-        self.beats_sent = 0
-        self.suspicions = 0
-        self.evictions = 0
-        self.admissions = 0
-        self.tokens_claimed = 0
-        self.joins_done = 0
-        self.drains_done = 0
-        self.detect_us: List[float] = []
+        #: Churn cost (the core's summary; ``mem.join`` carries the
+        #: cumulative handoff counters).  ``detect_us`` is the worst
+        #: detection latency.
+        self.cost = dict.fromkeys(
+            ("handoff_messages", "handoff_bytes", "beats_sent",
+             "suspicions", "evictions", "admissions", "tokens_claimed",
+             "joins", "drains"), 0)
+        self.cost["detect_us"] = 0.0
 
     # ------------------------------------------------------------------
     # Wiring.
@@ -177,7 +174,7 @@ class MembershipManager:
                          size=self.hb.beat_bytes,
                          send_cost=self.hb.beat_send_cost_us,
                          unreliable=True, offload=True)
-            self.beats_sent += 1
+            self.cost["beats_sent"] += 1
         self._check(node, dark)
         engine.call_after(self.hb.period_us, lambda: self._tick(node))
 
@@ -197,15 +194,16 @@ class MembershipManager:
         verdict = self._verdict[p]
         if quiet > self.hb.evict_after_us and verdict != "evicted":
             self._verdict[p] = "evicted"
-            self.evictions += 1
+            self.cost["evictions"] += 1
             if node.tel is not None:
                 node.tel.event(m, "mem.evict", target=p,
                                quiet_us=quiet)
             node.ep.broadcast("mem.evict", payload=p, size=8)
         elif quiet > self.hb.suspect_after_us and verdict == "member":
             self._verdict[p] = "suspected"
-            self.suspicions += 1
-            self.detect_us.append(quiet - self.hb.period_us)
+            self.cost["suspicions"] += 1
+            self.cost["detect_us"] = max(self.cost["detect_us"],
+                                         quiet - self.hb.period_us)
             if node.tel is not None:
                 node.tel.event(m, "mem.suspect", target=p,
                                quiet_us=quiet)
@@ -220,7 +218,7 @@ class MembershipManager:
             # ends here, with the run intact.
             was = self._verdict[src]
             self._verdict[src] = "member"
-            self.admissions += 1
+            self.cost["admissions"] += 1
             if node.tel is not None:
                 node.tel.event(node.pid, "mem.admit", target=src,
                                was=was)
@@ -245,22 +243,22 @@ class MembershipManager:
         node.ep.broadcast("mem.join", payload=node.pid, size=8)
         peers = [q for q in range(self.n) if q != node.pid]
         replies = self.core.reenter(node, peers, "mem.sync", "mem.records")
-        self.handoff_messages += len(peers) + len(peers)
+        self.cost["handoff_messages"] += len(peers) + len(peers)
         t0 = self.sys.engine.now
         for _, msg in replies:
             recs, vc, _ = msg.payload
-            self.handoff_bytes += msg.size
+            self.cost["handoff_bytes"] += msg.size
             # Replaying everyone's notices invalidates exactly the pages
             # written while this node was not yet a member.
             node.apply_notices(recs, vc)
         self.core.status[node.pid] = "done"
-        self.joins_done += 1
+        self.cost["joins"] += 1
         if node.tel is not None:
             node.tel.event(node.pid, "mem.join", t_sched=j.t,
                            how="join",
                            dur_us=self.sys.engine.now - t0,
-                           handoff_messages=self.handoff_messages,
-                           handoff_bytes=self.handoff_bytes)
+                           handoff_messages=self.cost["handoff_messages"],
+                           handoff_bytes=self.cost["handoff_bytes"])
 
     def _h_sync(self, node, msg) -> None:
         """A joiner asks for my retained records."""
@@ -322,8 +320,8 @@ class MembershipManager:
                      size=size)
         node.ep.broadcast("mem.leave",
                           payload=(victim, steward, watermark), size=12)
-        self.handoff_messages += n          # 1 handoff + (n-1) leaves
-        self.handoff_bytes += size + 12 * (n - 1)
+        self.cost["handoff_messages"] += n   # 1 handoff + (n-1) leaves
+        self.cost["handoff_bytes"] += size + 12 * (n - 1)
         if node.tel is not None:
             node.tel.event(victim, "mem.leave", t_sched=d.t,
                            away_us=d.away_us, steward=steward,
@@ -340,22 +338,22 @@ class MembershipManager:
         (_, msg), = self.core.reenter(node, [steward], "mem.rejoin",
                                       "mem.state")
         recs, svc, (tokens_back, tails_back) = msg.payload
-        self.handoff_messages += 2
-        self.handoff_bytes += msg.size + 8
+        self.cost["handoff_messages"] += 2
+        self.cost["handoff_bytes"] += msg.size + 8
         # Catch up on the world: apply everything the steward knows,
         # invalidating the pages written while I was away.
         node.apply_notices(recs, svc)
         node.lock_token.update(tokens_back)
         node.lock_tail.update(tails_back)
         self.core.status[victim] = "done"
-        self.drains_done += 1
+        self.cost["drains"] += 1
         node.ep.broadcast("mem.join", payload=victim, size=8)
-        self.handoff_messages += self.n - 1
+        self.cost["handoff_messages"] += self.n - 1
         if node.tel is not None:
             node.tel.event(victim, "mem.join", how="rejoin",
                            dur_us=self.sys.engine.now - t0,
-                           handoff_messages=self.handoff_messages,
-                           handoff_bytes=self.handoff_bytes)
+                           handoff_messages=self.cost["handoff_messages"],
+                           handoff_bytes=self.cost["handoff_bytes"])
         self.core.replay(victim)
 
     def _h_handoff(self, node, msg) -> None:
@@ -439,7 +437,7 @@ class MembershipManager:
             if cust.tokens.get(lid, lid % self.n == victim):
                 cust.claimed.add(lid)
                 node.lock_token[lid] = True
-                self.tokens_claimed += 1
+                self.cost["tokens_claimed"] += 1
                 return True
         return False
 
@@ -475,21 +473,6 @@ class MembershipManager:
     # ------------------------------------------------------------------
     # Diagnostics and reporting.
     # ------------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Churn cost, for the elastic harness report."""
-        return {
-            "handoff_messages": self.handoff_messages,
-            "handoff_bytes": self.handoff_bytes,
-            "beats_sent": self.beats_sent,
-            "suspicions": self.suspicions,
-            "evictions": self.evictions,
-            "admissions": self.admissions,
-            "tokens_claimed": self.tokens_claimed,
-            "joins": self.joins_done,
-            "drains": self.drains_done,
-            "detect_us": max(self.detect_us) if self.detect_us else 0.0,
-        }
 
     def debug_lines(self) -> List[str]:
         """Membership state for the engine's deadlock dump."""

@@ -272,7 +272,4 @@ class RoleHandoff:
 
     def summary(self) -> dict:
         """Cost counters of every fault kind in the run."""
-        out: dict = {}
-        for m in self.managers:
-            out.update(m.summary())
-        return out
+        return {k: v for m in self.managers for k, v in m.cost.items()}

@@ -15,10 +15,10 @@ module adds what that costs.
 diffs eagerly at every interval end and ships the interval record, its
 fresh diffs and the delta of its applied-diff watermarks to its
 *backup* (the core's steward).  A manager that is crash-planned
-likewise replicates every lock-routing decision.  Because the reliable transport delivers in order per
-channel, the final pre-crash log entry is always at the backup before
-the victim's post-reboot ``rec.fetch`` arrives — no separate
-synchronous-log round-trip is needed.
+likewise replicates every lock-routing decision.  Because the reliable
+transport delivers in order per channel, the final pre-crash log entry
+is always at the backup before the victim's post-reboot ``rec.fetch``
+arrives — no separate synchronous-log round-trip is needed.
 
 **On-demand re-replication.**  After the reboot window the victim runs
 the core's re-entry exchange (``rec.fetch`` / ``rec.state``) with every
@@ -117,11 +117,10 @@ class RecoveryManager:
         #: pid -> applied triples already shipped to its backup (the
         #: sender's own bookkeeping, so each log entry carries a delta).
         self._applied_sent: Dict[int, Set[Tuple[int, int, int]]] = {}
-        # Recovery cost accounting (reported by the recover harness).
-        self.log_messages = 0
-        self.log_bytes = 0
-        self.state_bytes = 0
-        self.t_recovery = 0.0
+        #: Recovery cost (the core's summary; ``rec.recover`` carries
+        #: the cumulative counters).
+        self.cost = {"log_messages": 0, "log_bytes": 0, "state_bytes": 0,
+                     "t_recovery_us": 0.0}
         self.realized: Dict[int, float] = {}   # victim -> wipe time
 
     # ------------------------------------------------------------------
@@ -187,8 +186,8 @@ class RecoveryManager:
         """Send one ``rec.log`` entry to the backup."""
         node.ep.send(self.core.steward[node.pid], "rec.log",
                      payload=entry, size=size)
-        self.log_messages += 1
-        self.log_bytes += size
+        self.cost["log_messages"] += 1
+        self.cost["log_bytes"] += size
 
     def _h_log(self, node, msg) -> None:
         """Backup side: fold one log entry into the victim's log."""
@@ -283,7 +282,7 @@ class RecoveryManager:
         self._rebuild(node, reports)
         self.core.status[pid] = "done"
         self.core.replay(pid)
-        self.t_recovery += self.sys.engine.now - t0
+        self.cost["t_recovery_us"] += self.sys.engine.now - t0
         if node.tel is not None:
             # Cumulative cost counters ride along so a harness that only
             # sees the telemetry stream can report recovery cost.
@@ -292,9 +291,9 @@ class RecoveryManager:
                            diffs=len(node.diff_store),
                            locks=len(node.lock_token),
                            dur_us=self.sys.engine.now - t0,
-                           log_messages=self.log_messages,
-                           log_bytes=self.log_bytes,
-                           state_bytes=self.state_bytes)
+                           log_messages=self.cost["log_messages"],
+                           log_bytes=self.cost["log_bytes"],
+                           state_bytes=self.cost["state_bytes"])
 
     def _h_fetch(self, node, msg) -> None:
         """Survivor side: snapshot my state for the recovering victim."""
@@ -327,8 +326,8 @@ class RecoveryManager:
             size += (interval_wire_bytes(log.records.values())
                      + diff_payload_bytes(log.diffs.values())
                      + APPLIED_ENTRY_BYTES * len(log.applied))
-        self.state_bytes += self.core.serve_state(node, msg, "rec.state",
-                                                  report, size)
+        self.cost["state_bytes"] += self.core.serve_state(
+            node, msg, "rec.state", report, size)
 
     @staticmethod
     def _lock_wait_of(node):
@@ -531,14 +530,3 @@ class RecoveryManager:
                 f"(watermark {log.trimmed_below})"
                 for pid, log in self._logs.items()
                 if log.records or log.trimmed_below]
-
-    def summary(self) -> dict:
-        """Recovery cost, for the recover harness report."""
-        return {
-            "log_messages": self.log_messages,
-            "log_bytes": self.log_bytes,
-            "state_bytes": self.state_bytes,
-            "t_recovery_us": self.t_recovery,
-            "realized": {pid: t for pid, t in
-                         sorted(self.realized.items())},
-        }

@@ -51,8 +51,9 @@ def test_every_fault_kind_drives_one_lifecycle_to_done():
     # One object is every node's hook; both managers hang off it.
     assert all(node.handoff is core for node in system.nodes)
     assert [m.name for m in core.managers] == ["recovery", "membership"]
-    assert core.summary()["log_messages"] > 0
-    assert core.summary()["drains"] == core.summary()["joins"] == 1
+    summary = core.summary()
+    assert summary["log_messages"] > 0 and summary["handoff_bytes"] > 0
+    assert summary["drains"] == summary["joins"] == 1
     lines = core.debug_lines()
     for text in ("recovery P3: done", "membership P1: done",
                  "membership P2: done"):

@@ -243,7 +243,7 @@ class MembershipManager:
         node.ep.broadcast("mem.join", payload=node.pid, size=8)
         peers = [q for q in range(self.n) if q != node.pid]
         replies = self.core.reenter(node, peers, "mem.sync", "mem.records")
-        self.cost["handoff_messages"] += len(peers) + len(peers)
+        self.cost["handoff_messages"] += 2 * len(peers)
         t0 = self.sys.engine.now
         for _, msg in replies:
             recs, vc, _ = msg.payload

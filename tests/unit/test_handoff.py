@@ -93,7 +93,7 @@ def test_requests_park_while_away_and_replay_in_order():
     node = SimpleNamespace(pid=1, ep=_Endpoint())
     for kind in ("diff_req", "lock_req", "lock_fwd", "other"):
         node.ep.on(kind, lambda msg, kind=kind: seen.append((kind, msg)))
-    core._park(node, core.recovery.parks)
+    core.attach(node)                          # P1's crash is pending
     handler = {k: node.ep.handlers[k][0] for k in node.ep.handlers}
     handler["diff_req"]("a")                   # pending: served
     core.status[1] = "away"
